@@ -5,7 +5,8 @@
 #
 # Usage: scripts/ci.sh            (from the repository root)
 #   TIER1_TIMEOUT / FAULTS_TIMEOUT / OBS_TIMEOUT / BENCH_TIMEOUT /
-#   LINT_TIMEOUT / CHAOS_TIMEOUT override the caps (seconds).
+#   LINT_TIMEOUT / CHAOS_TIMEOUT / PERF_TESTS_TIMEOUT override the caps
+#   (seconds).
 
 set -eu
 
@@ -18,6 +19,7 @@ OBS_TIMEOUT="${OBS_TIMEOUT:-120}"
 BENCH_TIMEOUT="${BENCH_TIMEOUT:-600}"
 LINT_TIMEOUT="${LINT_TIMEOUT:-120}"
 CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-300}"
+PERF_TESTS_TIMEOUT="${PERF_TESTS_TIMEOUT:-180}"
 
 echo "==> static analysis (cap: ${LINT_TIMEOUT}s)"
 # AST invariant checkers (docs/static-analysis.md): schema drift,
@@ -44,6 +46,12 @@ timeout --kill-after=30 "$TIER1_TIMEOUT" \
 echo "==> fault-injection suite (cap: ${FAULTS_TIMEOUT}s)"
 timeout --kill-after=30 "$FAULTS_TIMEOUT" \
     python -m pytest -x -q -m faults
+
+echo "==> system benchmark self-tests (cap: ${PERF_TESTS_TIMEOUT}s)"
+# The perf/ benchmark's own guards: workload definitions, statistics,
+# the traced-run plumbing, and metric names matching BENCHMARK.json.
+timeout --kill-after=30 "$PERF_TESTS_TIMEOUT" \
+    python -m pytest -x -q perf/tests
 
 echo "==> chaos smoke (cap: ${CHAOS_TIMEOUT}s)"
 # Seeded end-to-end fault sweep (docs/robustness.md#the-chaos-harness):

@@ -46,10 +46,15 @@ fault injection, and the cooperative SIGINT flag are polled) the engine
 can be captured into a :class:`repro.resilience.checkpoint.SearchCheckpoint`
 and later replayed onto a freshly prepared engine, continuing the search
 with **bit-identical** embeddings, order, and deterministic counters
-versus an uninterrupted run.  Subclasses that override ``_extend_fs`` /
-``_extend_plain`` with their own recursion (e.g. the boost extension's
-capacity engine) are detected at :meth:`BacktrackEngine.run` and simply
-opt out of checkpointing — their semantics are untouched.
+versus an uninterrupted run.
+
+**One driver.**  DA and DAF (Fig. 18) run the same loop; DA only skips
+the Case 2.1 cut.  Matching rules beyond injectivity plug in through one
+per-candidate hook, ``_blocked(u, v)``, which returns a conflict mask
+(0 when ``v`` is usable) and is ``None`` when unused: induced mode sets
+it to reject images adjacent to a mapped non-neighbour, and the boost
+extension's capacity engine sets it to reject full hypervertices.  Both
+therefore suspend and resume like the base engine.
 """
 
 from __future__ import annotations
@@ -175,7 +180,10 @@ class BacktrackEngine:
 
         query = cs.query
         self.induced = config.induced
+        # Per-candidate conflict hook (see the module docstring).
+        self._blocked: Optional[Callable[[int, int], int]] = None
         if self.induced:
+            self._blocked = self._induced_blocked
             # Non-neighbors per query vertex: an induced embedding must
             # map these to data non-neighbors, checked at mapping time.
             self.non_neighbors = tuple(
@@ -196,6 +204,12 @@ class BacktrackEngine:
             self.deferred = tuple(False for _ in range(n))
         self.deferred_leaves = tuple(u for u in range(n) if self.deferred[u])
         self.num_core = n - len(self.deferred_leaves)
+        # Deferred leaves grouped by label for combinatorial counting:
+        # leaves of different labels never compete for a data vertex.
+        groups: dict[object, list[int]] = {}
+        for u in self.deferred_leaves:
+            groups.setdefault(query.label(u), []).append(u)
+        self.leaf_groups = tuple(tuple(group) for group in groups.values())
 
         # Mutable search state.
         self.mapping = [-1] * n
@@ -213,7 +227,6 @@ class BacktrackEngine:
         self._report_step = 0
         self._suspended = False
         self._interrupted = False
-        self._iterative = False
         self._root_indices = (
             None if root_candidate_indices is None else list(root_candidate_indices)
         )
@@ -234,26 +247,18 @@ class BacktrackEngine:
         """Execute the search; raises :class:`TimeoutSignal` on deadline."""
         if any(not c for c in self.cs.candidates):
             return  # empty CS: negative query, nothing to search (A.3)
-        # Subclasses that still override the extend paths with their own
-        # recursion keep their exact semantics but cannot checkpoint.
-        legacy = (
-            type(self)._extend_fs is not BacktrackEngine._extend_fs
-            or type(self)._extend_plain is not BacktrackEngine._extend_plain
-        )
-        self._iterative = not legacy
+        # Cooperative Ctrl-C: the first SIGINT sets a flag polled at the
+        # next safe phase so the suspension is checkpointable; a second
+        # SIGINT interrupts immediately.
         prev_handler = None
         installed = False
-        if not legacy:
-            # Cooperative Ctrl-C: the first SIGINT sets a flag polled at
-            # the next safe phase so the suspension is checkpointable; a
-            # second SIGINT interrupts immediately (old behavior).
-            try:
-                prev_handler = signal.getsignal(signal.SIGINT)
-                if prev_handler is not None:
-                    signal.signal(signal.SIGINT, self._on_sigint)
-                    installed = True
-            except ValueError:
-                installed = False  # not the main thread
+        try:
+            prev_handler = signal.getsignal(signal.SIGINT)
+            if prev_handler is not None:
+                signal.signal(signal.SIGINT, self._on_sigint)
+                installed = True
+        except ValueError:
+            installed = False  # not the main thread
         bound = False
         if FAULTS.active:
             # Let injected hangs see the live deadline so they can never
@@ -262,10 +267,7 @@ class BacktrackEngine:
             bound = True
         try:
             try:
-                if self.config.use_failing_sets:
-                    self._extend_fs()
-                else:
-                    self._extend_plain()
+                self._extend()
             except _LimitReached:
                 self._unwind()
                 self.limit_reached = True
@@ -348,21 +350,20 @@ class BacktrackEngine:
         self.mapping[u] = -1
         self.midx[u] = -1
 
-    def _induced_violation(self, u: int, v: int) -> int:
-        """Induced-mode check: the first mapped non-neighbor of ``u``
-        whose image is adjacent to ``v`` in the data graph, or -1.
+    def _induced_blocked(self, u: int, v: int) -> int:
+        """Induced-mode hook: query non-edges must map to data non-edges.
 
-        Query non-edges must map to data non-edges; a violation plays the
-        same failing-set role as a visited conflict — it pins ``u`` and
-        the offending vertex.
+        Returns ``anc(u) | anc(w)`` for the first mapped non-neighbor
+        ``w`` of ``u`` whose image is adjacent to ``v``, else 0 — a
+        violation plays the same failing-set role as a visited conflict.
         """
         mapping = self.mapping
         data = self.cs.data
         for w in self.non_neighbors[u]:
             image = mapping[w]
             if image >= 0 and data.has_edge(v, image):
-                return w
-        return -1
+                return self.anc[u] | self.anc[w]
+        return 0
 
     def _report(self) -> None:
         # Re-entrant across a suspension mid-report: ``_report_step``
@@ -401,11 +402,7 @@ class BacktrackEngine:
     # ------------------------------------------------------------------
     def can_checkpoint(self) -> bool:
         """True when the run was suspended at a resumable safe phase."""
-        return (
-            self._suspended
-            and self._iterative
-            and self._state in (_ENTER_CORE, _ENTER_LEAF, _REPORT)
-        )
+        return self._suspended and self._state in _PHASE_NAMES
 
     def _fingerprint(self) -> dict:
         cfg = self.config
@@ -535,14 +532,15 @@ class BacktrackEngine:
                     del self.visited_by[v]
 
     # ------------------------------------------------------------------
-    # Search with failing sets (DAF variants)
+    # Search (DAF, and DA without the Case 2.1 cut)
     # ------------------------------------------------------------------
-    def _extend_fs(self) -> None:
-        """Explicit-stack search with failing-set pruning.
+    def _extend(self) -> None:
+        """Explicit-stack search.
 
         Each search-tree node owns one frame; the drive loop's ``ret``
         carries the child's failing-set mask upward (None = an embedding
-        was found in that subtree, Case 1).
+        was found in that subtree, Case 1).  DA computes the same masks
+        but never cuts on them, and reports no failing sets to the tracer.
         """
         stats = self.stats
         deadline = self.deadline
@@ -551,7 +549,8 @@ class BacktrackEngine:
         candidates = self.cs.candidates
         visited_by = self.visited_by
         injective = self.injective
-        induced = self.induced
+        blocked = self._blocked
+        use_fs = self.config.use_failing_sets
         obs = self.obs
         tracer = self.tracer
         progress = self.progress
@@ -639,38 +638,27 @@ class BacktrackEngine:
                         v = candidates_u[i]
                         if obs is not None:
                             obs.candidates_examined += 1
-                        if injective:
-                            occupier = visited_by.get(v)
-                            if occupier is not None:
-                                contribution = anc[u] | anc[occupier]  # conflict class
-                                frame[_F_FS] |= contribution
-                                if obs is not None:
-                                    obs.prune_conflict += 1
-                                    obs.vertex_conflict[u] += 1
-                                if tracer is not None:
-                                    tracer.conflict(u, v, contribution)
-                                continue
-                        if induced:
-                            offender = self._induced_violation(u, v)
-                            if offender >= 0:
-                                contribution = anc[u] | anc[offender]
-                                frame[_F_FS] |= contribution
-                                if obs is not None:
-                                    obs.prune_conflict += 1
-                                    obs.vertex_conflict[u] += 1
-                                if tracer is not None:
-                                    tracer.conflict(u, v, contribution)
-                                continue
+                        # visited_by stays empty when the search is not injective.
+                        occupier = visited_by.get(v)
+                        if occupier is not None:
+                            contribution = anc[u] | anc[occupier]  # conflict class
+                        elif blocked is None or not (contribution := blocked(u, v)):
+                            if obs is not None:
+                                obs.children_entered += 1
+                                obs.vertex_entered[u] += 1
+                            if tracer is not None:
+                                tracer.enter(u, v)
+                            frame[_F_POS] = pos
+                            frame[_F_V] = v
+                            self._map(u, i, v)
+                            advanced = True
+                            break
+                        frame[_F_FS] |= contribution
                         if obs is not None:
-                            obs.children_entered += 1
-                            obs.vertex_entered[u] += 1
+                            obs.prune_conflict += 1
+                            obs.vertex_conflict[u] += 1
                         if tracer is not None:
-                            tracer.enter(u, v)
-                        frame[_F_POS] = pos
-                        frame[_F_V] = v
-                        self._map(u, i, v)
-                        advanced = True
-                        break
+                            tracer.conflict(u, v, contribution if use_fs else None)
                     if advanced:
                         state = _ENTER_CORE
                     else:
@@ -719,7 +707,7 @@ class BacktrackEngine:
                     self._unmap(u, v)
                     frame[_F_V] = -1
                     if tracer is not None:
-                        tracer.leave(ret, ret is None)
+                        tracer.leave(ret if use_fs else None, ret is None)
                 else:
                     self.mapping[u] = -1
                     if injective:
@@ -728,7 +716,7 @@ class BacktrackEngine:
                 if ret is None:
                     frame[_F_FOUND] = True
                     state = _ADVANCE
-                elif not (ret >> u) & 1:
+                elif use_fs and not (ret >> u) & 1:
                     # Case 2.1 + Lemma 6.1: remaining siblings are redundant.
                     seq = frame[_F_SEQ]
                     pos = frame[_F_POS]
@@ -749,170 +737,6 @@ class BacktrackEngine:
                     state = _ADVANCE
 
     # ------------------------------------------------------------------
-    # Search without failing sets (DA variants)
-    # ------------------------------------------------------------------
-    def _extend_plain(self) -> None:
-        stats = self.stats
-        deadline = self.deadline
-        frames = self.frames
-        candidates = self.cs.candidates
-        visited_by = self.visited_by
-        injective = self.injective
-        induced = self.induced
-        obs = self.obs
-        tracer = self.tracer
-        progress = self.progress
-        every = self.checkpoint_every
-        on_checkpoint = self.on_checkpoint
-        num_leaves = len(self.deferred_leaves)
-        state = self._state
-        while True:
-            if state == _ENTER_CORE:
-                self._state = _ENTER_CORE
-                if every and on_checkpoint is not None:
-                    calls = stats.recursive_calls
-                    if calls and calls % every == 0:
-                        on_checkpoint(self.capture_checkpoint())
-                if self._interrupted:
-                    raise KeyboardInterrupt
-                deadline.tick()
-                if FAULTS.active:
-                    FAULTS.fire("backtrack.step", calls=stats.recursive_calls + 1)
-                self._state = _UNSAFE
-                stats.recursive_calls += 1
-                if progress is not None:
-                    progress.tick(stats.recursive_calls, self.mapped_core)
-                if self.mapped_core == self.num_core:
-                    if not num_leaves:
-                        state = _REPORT
-                        continue
-                    if self._can_count_combinatorially():
-                        self._count_leaves()
-                        state = _RETURN
-                        continue
-                    state = _ENTER_LEAF
-                    continue
-                u = self._select()
-                cmu = self.cmu[u]
-                if not cmu:
-                    if obs is not None:
-                        obs.prune_empty += 1
-                        obs.vertex_empty[u] += 1
-                    state = _RETURN
-                    continue
-                frames.append([_KIND_CORE, u, cmu, 0, 0, False, -1])
-                state = _ADVANCE
-            elif state == _ENTER_LEAF:
-                self._state = _ENTER_LEAF
-                lpos = len(frames) - self.num_core
-                if lpos == num_leaves:
-                    state = _REPORT
-                    continue
-                deadline.tick()
-                self._state = _UNSAFE
-                u = self.deferred_leaves[lpos]
-                idxs = self._leaf_candidate_indices(u)
-                if not idxs:
-                    if obs is not None:
-                        obs.prune_empty += 1
-                        obs.vertex_empty[u] += 1
-                    state = _RETURN
-                    continue
-                frames.append([_KIND_LEAF, u, idxs, 0, 0, False, -1])
-                state = _ADVANCE
-            elif state == _REPORT:
-                self._state = _REPORT
-                self._report()
-                self._state = _UNSAFE
-                state = _RETURN
-            elif state == _ADVANCE:
-                frame = frames[-1]
-                u = frame[_F_U]
-                seq = frame[_F_SEQ]
-                pos = frame[_F_POS]
-                length = len(seq)
-                candidates_u = candidates[u]
-                advanced = False
-                if frame[_F_KIND] == _KIND_CORE:
-                    while pos < length:
-                        i = seq[pos]
-                        pos += 1
-                        v = candidates_u[i]
-                        if obs is not None:
-                            obs.candidates_examined += 1
-                        if injective and v in visited_by:
-                            if obs is not None:
-                                obs.prune_conflict += 1
-                                obs.vertex_conflict[u] += 1
-                            continue
-                        if induced and self._induced_violation(u, v) >= 0:
-                            if obs is not None:
-                                obs.prune_conflict += 1
-                                obs.vertex_conflict[u] += 1
-                            continue
-                        if obs is not None:
-                            obs.children_entered += 1
-                            obs.vertex_entered[u] += 1
-                        if tracer is not None:
-                            tracer.enter(u, v)
-                        frame[_F_POS] = pos
-                        frame[_F_V] = v
-                        self._map(u, i, v)
-                        advanced = True
-                        break
-                    if advanced:
-                        state = _ENTER_CORE
-                    else:
-                        frame[_F_POS] = pos
-                        frames.pop()
-                        state = _RETURN
-                else:
-                    while pos < length:
-                        i = seq[pos]
-                        pos += 1
-                        v = candidates_u[i]
-                        if obs is not None:
-                            obs.candidates_examined += 1
-                        if injective:
-                            if v in visited_by:
-                                if obs is not None:
-                                    obs.prune_conflict += 1
-                                    obs.vertex_conflict[u] += 1
-                                continue
-                            visited_by[v] = u
-                        if obs is not None:
-                            obs.children_entered += 1
-                            obs.vertex_entered[u] += 1
-                        frame[_F_POS] = pos
-                        frame[_F_V] = v
-                        self.mapping[u] = v
-                        advanced = True
-                        break
-                    if advanced:
-                        state = _ENTER_LEAF
-                    else:
-                        frame[_F_POS] = pos
-                        frames.pop()
-                        state = _RETURN
-            else:  # _RETURN
-                if not frames:
-                    break
-                frame = frames[-1]
-                u = frame[_F_U]
-                v = frame[_F_V]
-                if frame[_F_KIND] == _KIND_CORE:
-                    self._unmap(u, v)
-                    frame[_F_V] = -1
-                    if tracer is not None:
-                        tracer.leave(None, False)
-                else:
-                    self.mapping[u] = -1
-                    if injective:
-                        del visited_by[v]
-                    frame[_F_V] = -1
-                state = _ADVANCE
-
-    # ------------------------------------------------------------------
     # Leaf matching (§3: degree-one vertices matched last)
     # ------------------------------------------------------------------
     def _leaf_candidate_indices(self, u: int) -> tuple[int, ...]:
@@ -922,118 +746,6 @@ class BacktrackEngine:
 
     def _can_count_combinatorially(self) -> bool:
         return not self.collect and self.on_embedding is None
-
-    # The recursive leaf matchers below are no longer used by the
-    # explicit-stack drivers (which inline leaf handling so it can be
-    # checkpointed); they are kept because extension engines that still
-    # override _extend_fs/_extend_plain recursively call into them.
-    def _match_leaves_fs(self) -> Optional[int]:
-        leaves = self.deferred_leaves
-        if not leaves:
-            self._report()
-            return None
-        if self._can_count_combinatorially():
-            return self._count_leaves()
-        info = [(u, self._leaf_candidate_indices(u)) for u in leaves]
-        return self._leaf_rec_fs(info, 0)
-
-    def _leaf_rec_fs(self, info: list[tuple[int, tuple[int, ...]]], pos: int) -> Optional[int]:
-        if pos == len(info):
-            self._report()
-            return None
-        self.deadline.tick()
-        u, idxs = info[pos]
-        anc = self.anc
-        obs = self.obs
-        if not idxs:
-            if obs is not None:
-                obs.prune_empty += 1
-                obs.vertex_empty[u] += 1
-            return anc[u]
-        candidates_u = self.cs.candidates[u]
-        visited_by = self.visited_by
-        fs_union = 0
-        found_embedding = False
-        for i in idxs:
-            v = candidates_u[i]
-            if obs is not None:
-                obs.candidates_examined += 1
-            if self.injective:
-                occupier = visited_by.get(v)
-                if occupier is not None:
-                    fs_union |= anc[u] | anc[occupier]
-                    if obs is not None:
-                        obs.prune_conflict += 1
-                        obs.vertex_conflict[u] += 1
-                    continue
-                visited_by[v] = u
-            if obs is not None:
-                obs.children_entered += 1
-                obs.vertex_entered[u] += 1
-            self.mapping[u] = v
-            try:
-                child_fs = self._leaf_rec_fs(info, pos + 1)
-            finally:
-                self.mapping[u] = -1
-                if self.injective:
-                    del visited_by[v]
-            if child_fs is None:
-                found_embedding = True
-            elif not (child_fs >> u) & 1:
-                if obs is not None:
-                    obs.fs_cuts += 1
-                    skipped = len(idxs) - idxs.index(i) - 1
-                    obs.prune_failing_set += skipped
-                    obs.vertex_fs_pruned[u] += skipped
-                return None if found_embedding else child_fs
-            else:
-                fs_union |= child_fs
-        return None if found_embedding else fs_union
-
-    def _match_leaves_plain(self) -> None:
-        leaves = self.deferred_leaves
-        if not leaves:
-            self._report()
-            return
-        if self._can_count_combinatorially():
-            self._count_leaves()
-            return
-        info = [(u, self._leaf_candidate_indices(u)) for u in leaves]
-        self._leaf_rec_plain(info, 0)
-
-    def _leaf_rec_plain(self, info: list[tuple[int, tuple[int, ...]]], pos: int) -> None:
-        if pos == len(info):
-            self._report()
-            return
-        self.deadline.tick()
-        u, idxs = info[pos]
-        candidates_u = self.cs.candidates[u]
-        visited_by = self.visited_by
-        obs = self.obs
-        if not idxs and obs is not None:
-            obs.prune_empty += 1
-            obs.vertex_empty[u] += 1
-        for i in idxs:
-            v = candidates_u[i]
-            if obs is not None:
-                obs.candidates_examined += 1
-            if self.injective:
-                if v in visited_by:
-                    if obs is not None:
-                        obs.prune_conflict += 1
-                        obs.vertex_conflict[u] += 1
-                    continue
-                visited_by[v] = u
-            if obs is not None:
-                obs.children_entered += 1
-                obs.vertex_entered[u] += 1
-            self.mapping[u] = v
-            try:
-                self._leaf_rec_plain(info, pos + 1)
-            finally:
-                self.mapping[u] = -1
-                if self.injective:
-                    del visited_by[v]
 
     def _count_leaves(self) -> Optional[int]:
         """Count leaf assignments combinatorially (counting mode only).
@@ -1052,15 +764,10 @@ class BacktrackEngine:
         occupiers makes the same unavailability hold for any extension of
         ``M[F]``.
         """
-        query = self.cs.query
         remaining = self.limit - self.stats.embeddings_found
         obs = self.obs
-        groups: dict[object, list[int]] = {}
-        for u in self.deferred_leaves:
-            groups.setdefault(query.label(u), []).append(u)
-
         total = 1
-        for label_leaves in groups.values():
+        for label_leaves in self.leaf_groups:
             available: list[tuple[int, list[int]]] = []
             conflict_mask = 0
             for u in label_leaves:

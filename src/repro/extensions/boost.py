@@ -29,11 +29,12 @@ is the capacity generalization of the paper's conflict class.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 from typing import Callable, Optional
 
-from ..core.backtrack import BacktrackEngine
+from ..core.backtrack import _REPORT, BacktrackEngine, _count_injective, _LimitReached
 from ..core.candidate_space import build_candidate_space
 from ..core.config import MatchConfig
 from ..core.dag import build_dag
@@ -131,10 +132,15 @@ def _falling_factorial(n: int, k: int) -> int:
 class _CapacityEngine(BacktrackEngine):
     """DAF's engine over a hypergraph with per-vertex capacities.
 
-    Leaf decomposition's combinatorial counting does not generalize to
-    capacities, so callers construct this engine with
-    ``leaf_decomposition=False`` in the config (enforced by
-    :class:`BoostedDAFMatcher`); expansion happens in ``_report``.
+    The base driver runs unchanged: capacity replaces the one-occupier
+    rule through the ``_blocked`` hook, so the base injectivity check is
+    switched off and a hypervertex conflicts only once it is full.
+
+    Leaf decomposition's leaf-by-leaf matching does not generalize to
+    capacities, so callers enable ``leaf_decomposition`` only in counting
+    mode (enforced by :class:`BoostedDAFMatcher`), where the slot-based
+    :meth:`_count_leaves` handles the leaves; otherwise expansion happens
+    in ``_report``.
     """
 
     def __init__(self, capacities: list[int], members: list[list[int]], *args, **kwargs) -> None:
@@ -142,104 +148,36 @@ class _CapacityEngine(BacktrackEngine):
         self.capacities = capacities
         self.members = members
         self.occupiers: dict[int, list[int]] = {}
+        self.injective = False
+        self._blocked = self._blocked_mask
 
     # -- occupancy-aware mapping --------------------------------------
     def _map(self, u: int, i: int, v: int) -> None:
-        self.mapping[u] = v
-        self.midx[u] = i
+        super()._map(u, i, v)
         self.occupiers.setdefault(v, []).append(u)
-        self.extendable.discard(u)
-        self.mapped_core += 1
-        for c in self.children[u]:
-            if self.deferred[c]:
-                continue
-            self.pending[c] -= 1
-            if self.pending[c] == 0:
-                cmu = self._compute_cmu(c)
-                self.cmu[c] = cmu
-                self.wmu[c] = self.order.vertex_weight(c, cmu)
-                self.extendable.add(c)
 
     def _unmap(self, u: int, v: int) -> None:
-        for c in self.children[u]:
-            if self.deferred[c]:
-                continue
-            if self.pending[c] == 0:
-                self.extendable.discard(c)
-                self.cmu[c] = None
-            self.pending[c] += 1
-        self.mapped_core -= 1
-        self.extendable.add(u)
+        super()._unmap(u, v)
         holders = self.occupiers[v]
         holders.remove(u)
         if not holders:
             del self.occupiers[v]
-        self.mapping[u] = -1
-        self.midx[u] = -1
 
-    def _blocked_mask(self, u: int, v: int) -> Optional[int]:
-        """None if ``v`` can host another query vertex; otherwise the
+    def _blocked_mask(self, u: int, v: int) -> int:
+        """0 if ``v`` can host another query vertex; otherwise the
         conflict contribution (anc(u) plus all occupiers' ancestors)."""
         holders = self.occupiers.get(v)
         if holders is None or len(holders) < self.capacities[v]:
-            return None
+            return 0
         mask = self.anc[u]
         for holder in holders:
             mask |= self.anc[holder]
         return mask
 
-    # -- search (capacity-aware copies of the base recursions) --------
-    def _extend_fs(self) -> Optional[int]:
-        self.stats.recursive_calls += 1
-        self.deadline.tick()
-        if self.mapped_core == self.num_core:
-            return self._match_leaves_fs()
-        u = self._select()
-        cmu = self.cmu[u]
-        if not cmu:
-            return self.anc[u]
-        candidates_u = self.cs.candidates[u]
-        fs_union = 0
-        found_embedding = False
-        for i in cmu:
-            v = candidates_u[i]
-            blocked = self._blocked_mask(u, v)
-            if blocked is not None:
-                fs_union |= blocked
-                continue
-            self._map(u, i, v)
-            try:
-                child_fs = self._extend_fs()
-            finally:
-                self._unmap(u, v)
-            if child_fs is None:
-                found_embedding = True
-            elif not (child_fs >> u) & 1:
-                return None if found_embedding else child_fs
-            else:
-                fs_union |= child_fs
-        return None if found_embedding else fs_union
-
-    def _extend_plain(self) -> None:
-        self.stats.recursive_calls += 1
-        self.deadline.tick()
-        if self.mapped_core == self.num_core:
-            self._match_leaves_plain()
-            return
-        u = self._select()
-        cmu = self.cmu[u]
-        if not cmu:
-            return
-        candidates_u = self.cs.candidates[u]
-        for i in cmu:
-            v = candidates_u[i]
-            if self._blocked_mask(u, v) is not None:
-                continue
-            self._map(u, i, v)
-            try:
-                self._extend_plain()
-            finally:
-                self._unmap(u, v)
+    def can_checkpoint(self) -> bool:
+        # Expansion in ``_report`` is not re-entrant: a suspension inside
+        # it cannot tell which real embeddings were already delivered.
+        return super().can_checkpoint() and self._state != _REPORT
 
     # -- capacity-aware leaf counting ----------------------------------
     def _count_leaves(self) -> Optional[int]:
@@ -255,7 +193,6 @@ class _CapacityEngine(BacktrackEngine):
         candidate hypervertices (freeing any of them could create a
         slot).
         """
-        query = self.cs.query
         remaining = self.limit - self.stats.embeddings_found
         core_usage: dict[int, int] = {}
         occupying: dict[int, list[int]] = {}
@@ -267,13 +204,8 @@ class _CapacityEngine(BacktrackEngine):
         for v, used in core_usage.items():
             core_expansion *= _falling_factorial(self.capacities[v], used)
 
-        from ..core.backtrack import _count_injective
-
-        groups: dict[object, list[int]] = {}
-        for u in self.deferred_leaves:
-            groups.setdefault(query.label(u), []).append(u)
         total = core_expansion
-        for label_leaves in groups.values():
+        for label_leaves in self.leaf_groups:
             slot_lists: list[list[tuple[int, int]]] = []
             pinned = 0
             for u in label_leaves:
@@ -329,8 +261,6 @@ class _CapacityEngine(BacktrackEngine):
             if self.on_embedding is not None:
                 self.on_embedding(embedding)
             if self.stats.embeddings_found >= self.limit:
-                from ..core.backtrack import _LimitReached
-
                 raise _LimitReached
 
 
@@ -340,8 +270,6 @@ class BoostedDAFMatcher(Matcher):
     name = "DAF-Boost"
 
     def __init__(self, config: Optional[MatchConfig] = None) -> None:
-        import dataclasses
-
         base = config if config is not None else MatchConfig()
         if base.induced or not base.injective:
             raise ValueError(
@@ -404,8 +332,6 @@ class BoostedDAFMatcher(Matcher):
         result = MatchResult(stats=stats)
         if cs.is_empty():
             return result
-        import dataclasses
-
         counting_only = not self.config.collect_embeddings and on_embedding is None
         effective = dataclasses.replace(
             self.config,

@@ -1,13 +1,26 @@
 """White-box tests for the backtracking engine internals (§5-6)."""
 
+import hashlib
+import itertools
+import random
+
 import pytest
 
 from repro import DAFMatcher, MatchConfig
 from repro.core.backtrack import BacktrackEngine, _count_injective
 from repro.core.candidate_space import build_candidate_space
 from repro.core.dag import build_dag
-from repro.interfaces import Deadline, SearchStats
-from repro.graph import Graph, star_graph
+from repro.extensions.boost import BoostedDAFMatcher
+from repro.interfaces import Deadline, MatchOptions, MatchRequest, SearchStats
+from repro.graph import (
+    Graph,
+    ensure_connected,
+    extract_query,
+    gnm_random_graph,
+    random_labels,
+    star_graph,
+)
+from repro.obs import MetricsRegistry
 from tests.conftest import random_graph_case
 
 
@@ -183,3 +196,195 @@ class TestHomomorphismMode:
         query = star_graph("H", ["L", "L", "L"])
         cfg = MatchConfig(injective=False, collect_embeddings=False)
         assert DAFMatcher(cfg).match(query, data).count == 8
+
+
+# ----------------------------------------------------------------------
+# Golden engine equivalence
+# ----------------------------------------------------------------------
+# Every search variant runs the same seeded corpus and is pinned on its
+# recursive calls, its count, a digest of the embedding list in order,
+# and its search counters.  The values were recorded before DA and
+# DAF-Boost were moved onto the shared failing-set driver, so any drift
+# in exploration order, pruning or accounting fails here.
+
+GOLDEN_LIMIT = 400
+
+
+def _golden_corpus():
+    rng = random.Random(2019)
+    cases = [random_graph_case(rng, max_vertices=20, max_query=7) for _ in range(10)]
+    for n, m, q in ((24, 80, 4), (22, 60, 5), (18, 50, 6), (30, 90, 7), (30, 110, 8), (26, 70, 8)):
+        data = ensure_connected(gnm_random_graph(n, m, random_labels(n, 2, rng), rng), rng)
+        query, _ = extract_query(data, q, rng)
+        cases.append((query, data))
+    return cases
+
+
+def _se_duplicate(data, rng, copies):
+    """Add ``copies`` twins: same label, same neighbourhood as a random
+    original vertex, so SE compression has classes to merge."""
+    labels = [data.label(v) for v in data.vertices()]
+    edges = list(data.edges())
+    for _ in range(copies):
+        original = rng.randrange(data.num_vertices)
+        twin = len(labels)
+        labels.append(labels[original])
+        edges.extend((twin, w) for w in data.neighbors(original))
+    return Graph(labels=labels, edges=edges)
+
+
+def _boost_corpus():
+    rng = random.Random(17)
+    cases = []
+    for _ in range(12):
+        n = rng.randint(12, 20)
+        data = gnm_random_graph(
+            n, rng.randint(n, 3 * n), random_labels(n, rng.choice([1, 2]), rng), rng
+        )
+        data = ensure_connected(data, rng)
+        query, _ = extract_query(data, rng.randint(4, 8), rng)
+        cases.append((query, _se_duplicate(data, rng, 6)))
+    return cases
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+_SEARCH_COUNTERS = (
+    "prune_conflict",
+    "prune_empty",
+    "prune_failing_set",
+    "fs_cuts",
+    "candidates_examined",
+    "children_entered",
+)
+
+
+def _golden_run(cases, config, boost=False):
+    """Recursive calls, count and embedding digest over ``cases``, plus
+    the summed search counters and a per-vertex counter digest (DAF
+    stack only: the boost matcher takes no observer)."""
+    calls = count = 0
+    embeddings, vertex = [], []
+    counters = dict.fromkeys(_SEARCH_COUNTERS, 0)
+    for query, data in cases:
+        request = MatchRequest(query, data, options=MatchOptions(limit=GOLDEN_LIMIT))
+        if boost:
+            result = BoostedDAFMatcher(config).match(request)
+        else:
+            result = DAFMatcher(config, observer=MetricsRegistry()).match(request)
+            snapshot = result.stats.metrics
+            for name in _SEARCH_COUNTERS:
+                counters[name] += snapshot["counters"][name]
+            vertex.append(snapshot.get("vertex_counters"))
+        calls += result.stats.recursive_calls
+        count += result.count
+        embeddings.append(result.embeddings)
+    if boost:
+        return calls, count, _digest(embeddings)
+    pinned = tuple(counters[name] for name in _SEARCH_COUNTERS)
+    return calls, count, _digest(embeddings), pinned, _digest(vertex)
+
+
+def _golden_configs():
+    for fs, order, leaf, induced, collect in itertools.product(
+        (True, False), ("candidate", "path"), (True, False), (False, True), (True, False)
+    ):
+        key = "/".join(
+            (
+                "DAF" if fs else "DA",
+                order,
+                "leaf" if leaf else "noleaf",
+                "induced" if induced else "plain",
+                "collect" if collect else "count",
+            )
+        )
+        yield key, MatchConfig(
+            order=order,
+            use_failing_sets=fs,
+            leaf_decomposition=leaf,
+            induced=induced,
+            collect_embeddings=collect,
+        )
+
+
+def _boost_configs():
+    for fs, leaf, collect in itertools.product((True, False), (True, False), (True, False)):
+        key = "/".join(
+            (
+                "Boost" if fs else "Boost-DA",
+                "leaf" if leaf else "noleaf",
+                "collect" if collect else "count",
+            )
+        )
+        yield key, MatchConfig(
+            use_failing_sets=fs, leaf_decomposition=leaf, collect_embeddings=collect
+        )
+
+
+ENGINE_CONFIGS = dict(_golden_configs())
+BOOST_CONFIGS = dict(_boost_configs())
+
+GOLDEN = {
+    'DAF/candidate/leaf/plain/collect': (2047, 1231, '1ee8b7479d841f10', (1568, 319, 13, 26, 4797, 3229), '35f1fb7ff6da8cd6'),
+    'DAF/candidate/leaf/plain/count': (2047, 1231, 'ae520475ee8b72d7', (1460, 343, 13, 26, 4410, 2031), '2620aa062905c6ae'),
+    'DAF/candidate/leaf/induced/collect': (1344, 375, '82addc75e51ae20e', (1272, 114, 9, 12, 2600, 1328), 'e92b64b8368ef9b6'),
+    'DAF/candidate/leaf/induced/count': (1344, 375, 'ae520475ee8b72d7', (1272, 114, 9, 12, 2600, 1328), 'e92b64b8368ef9b6'),
+    'DAF/candidate/noleaf/plain/collect': (3339, 1231, '8750678a7bd63f9a', (1541, 361, 6, 28, 4864, 3323), 'c43887c3392ce95a'),
+    'DAF/candidate/noleaf/plain/count': (3339, 1231, 'ae520475ee8b72d7', (1541, 361, 6, 28, 4864, 3323), 'c43887c3392ce95a'),
+    'DAF/candidate/noleaf/induced/collect': (1344, 375, '82addc75e51ae20e', (1272, 114, 9, 12, 2600, 1328), 'e92b64b8368ef9b6'),
+    'DAF/candidate/noleaf/induced/count': (1344, 375, 'ae520475ee8b72d7', (1272, 114, 9, 12, 2600, 1328), 'e92b64b8368ef9b6'),
+    'DAF/path/leaf/plain/collect': (2091, 1231, '63d2356e93665a64', (1643, 322, 10, 24, 4916, 3273), '1e8d3ad85461f949'),
+    'DAF/path/leaf/plain/count': (2091, 1231, 'ae520475ee8b72d7', (1535, 352, 10, 24, 4529, 2075), '2cce1af2964dbd01'),
+    'DAF/path/leaf/induced/collect': (1408, 375, '75e5b5f3561ecda6', (1319, 129, 6, 11, 2711, 1392), 'd9d1d9ee167e7f46'),
+    'DAF/path/leaf/induced/count': (1408, 375, 'ae520475ee8b72d7', (1319, 129, 6, 11, 2711, 1392), 'd9d1d9ee167e7f46'),
+    'DAF/path/noleaf/plain/collect': (3277, 1231, '2dc1bed048cfe9b2', (1612, 322, 22, 50, 4873, 3261), '911b9c0bcc484992'),
+    'DAF/path/noleaf/plain/count': (3277, 1231, 'ae520475ee8b72d7', (1612, 322, 22, 50, 4873, 3261), '911b9c0bcc484992'),
+    'DAF/path/noleaf/induced/collect': (1408, 375, '75e5b5f3561ecda6', (1319, 129, 6, 11, 2711, 1392), 'd9d1d9ee167e7f46'),
+    'DAF/path/noleaf/induced/count': (1408, 375, 'ae520475ee8b72d7', (1319, 129, 6, 11, 2711, 1392), 'd9d1d9ee167e7f46'),
+    'DA/candidate/leaf/plain/collect': (2058, 1231, '1ee8b7479d841f10', (1589, 321, 0, 0, 4829, 3240), '9738040824bf508c'),
+    'DA/candidate/leaf/plain/count': (2058, 1231, 'ae520475ee8b72d7', (1481, 351, 0, 0, 4442, 2042), '9b066b970b380572'),
+    'DA/candidate/leaf/induced/collect': (1347, 375, '82addc75e51ae20e', (1290, 114, 0, 0, 2621, 1331), '2ae72bc1f6cfc830'),
+    'DA/candidate/leaf/induced/count': (1347, 375, 'ae520475ee8b72d7', (1290, 114, 0, 0, 2621, 1331), '2ae72bc1f6cfc830'),
+    'DA/candidate/noleaf/plain/collect': (3353, 1231, '8750678a7bd63f9a', (1566, 362, 0, 0, 4903, 3337), 'b4fe3ebbe0b68a61'),
+    'DA/candidate/noleaf/plain/count': (3353, 1231, 'ae520475ee8b72d7', (1566, 362, 0, 0, 4903, 3337), 'b4fe3ebbe0b68a61'),
+    'DA/candidate/noleaf/induced/collect': (1347, 375, '82addc75e51ae20e', (1290, 114, 0, 0, 2621, 1331), '2ae72bc1f6cfc830'),
+    'DA/candidate/noleaf/induced/count': (1347, 375, 'ae520475ee8b72d7', (1290, 114, 0, 0, 2621, 1331), '2ae72bc1f6cfc830'),
+    'DA/path/leaf/plain/collect': (2129, 1231, '63d2356e93665a64', (1648, 341, 0, 0, 4959, 3311), '3bc7449c3f277931'),
+    'DA/path/leaf/plain/count': (2129, 1231, 'ae520475ee8b72d7', (1540, 371, 0, 0, 4572, 2113), 'b9e191c2d2c6b676'),
+    'DA/path/leaf/induced/collect': (1437, 375, '75e5b5f3561ecda6', (1330, 141, 0, 0, 2751, 1421), 'e2614b3220cfe4f1'),
+    'DA/path/leaf/induced/count': (1437, 375, 'ae520475ee8b72d7', (1330, 141, 0, 0, 2751, 1421), 'e2614b3220cfe4f1'),
+    'DA/path/noleaf/plain/collect': (3327, 1231, '2dc1bed048cfe9b2', (1643, 341, 0, 0, 4954, 3311), 'f4bcb0f7a9a6e5a5'),
+    'DA/path/noleaf/plain/count': (3327, 1231, 'ae520475ee8b72d7', (1643, 341, 0, 0, 4954, 3311), 'f4bcb0f7a9a6e5a5'),
+    'DA/path/noleaf/induced/collect': (1437, 375, '75e5b5f3561ecda6', (1330, 141, 0, 0, 2751, 1421), 'e2614b3220cfe4f1'),
+    'DA/path/noleaf/induced/count': (1437, 375, 'ae520475ee8b72d7', (1330, 141, 0, 0, 2751, 1421), 'e2614b3220cfe4f1'),
+    'Boost/leaf/collect': (5897, 2075, 'e72707abdc7a0810'),
+    'Boost/leaf/count': (3883, 2075, '243b03250568a6d2'),
+    'Boost/noleaf/collect': (5897, 2075, 'e72707abdc7a0810'),
+    'Boost/noleaf/count': (5897, 2075, '243b03250568a6d2'),
+    'Boost-DA/leaf/collect': (6036, 2075, 'e72707abdc7a0810'),
+    'Boost-DA/leaf/count': (3986, 2075, '243b03250568a6d2'),
+    'Boost-DA/noleaf/collect': (6036, 2075, 'e72707abdc7a0810'),
+    'Boost-DA/noleaf/count': (6036, 2075, '243b03250568a6d2'),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_corpus():
+    return _golden_corpus()
+
+
+@pytest.fixture(scope="module")
+def boost_corpus():
+    return _boost_corpus()
+
+
+class TestGoldenEquivalence:
+    @pytest.mark.parametrize("key", list(ENGINE_CONFIGS))
+    def test_engine_variant(self, golden_corpus, key):
+        assert _golden_run(golden_corpus, ENGINE_CONFIGS[key]) == GOLDEN[key]
+
+    @pytest.mark.parametrize("key", list(BOOST_CONFIGS))
+    def test_boost_variant(self, boost_corpus, key):
+        assert _golden_run(boost_corpus, BOOST_CONFIGS[key], boost=True) == GOLDEN[key]

@@ -15,14 +15,25 @@ import random
 import pytest
 
 from repro import Budget, DAFMatcher, MatchConfig
+from repro.core.candidate_space import build_candidate_space
+from repro.core.dag import build_dag
 from repro.extensions import ParallelDAFMatcher
+from repro.extensions.boost import _CapacityEngine, capacity_aware_candidates, compress
 from repro.graph import ensure_connected, gnm_random_graph
-from repro.interfaces import MatchOptions, MatchRequest, MatchResult, Matcher, SearchStats
+from repro.interfaces import (
+    Deadline,
+    MatchOptions,
+    MatchRequest,
+    MatchResult,
+    Matcher,
+    SearchStats,
+)
 from repro.obs import JsonlSink, MetricsRegistry
 from repro.obs.schema import validate_jsonl
 from repro.resilience import CheckpointMismatchError, SearchCheckpoint
 from repro.resilience.faults import FaultSpec, inject
 from repro.service import BatchEngine, BatchJournal, DataGraphSession
+from tests.test_backtrack_engine import _se_duplicate
 
 LIMIT = 10**9
 
@@ -364,3 +375,80 @@ class TestBatchJournal:
         batch = BatchEngine(DataGraphSession(data)).run(requests, journal=journal)
         assert batch.failed == 0
         assert batch.items[0].result.embeddings == expected.embeddings
+
+
+def capacity_engine(query, data, config, **kwargs):
+    """A DAF-Boost capacity engine over the SE-compressed ``data``."""
+    hyper, capacities, members = compress(data)
+    initial_sets = [
+        capacity_aware_candidates(query, hyper, capacities, u) for u in query.vertices()
+    ]
+    cs = build_candidate_space(
+        query, hyper, build_dag(query, hyper), use_local_filters=False, initial_sets=initial_sets
+    )
+    return _CapacityEngine(
+        capacities,
+        members,
+        cs,
+        config,
+        limit=LIMIT,
+        deadline=Deadline(None),
+        stats=SearchStats(),
+        **kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def boost_instance():
+    """Single-label graph with SE twins, so hypervertices hold several
+    query vertices at once."""
+    rng = random.Random(5)
+    base = ensure_connected(gnm_random_graph(14, 30, ["A"] * 14, rng), rng)
+    data = _se_duplicate(base, rng, 6)
+    query = ensure_connected(gnm_random_graph(5, 5, ["A"] * 5, rng), rng)
+    return query, data
+
+
+class TestCapacityEngineCheckpoint:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MatchConfig(leaf_decomposition=False),
+            MatchConfig(collect_embeddings=False),
+            MatchConfig(collect_embeddings=False, use_failing_sets=False),
+        ],
+        ids=["collect", "count-leaves", "count-da"],
+    )
+    def test_periodic_checkpoints_each_resume_identically(self, boost_instance, config):
+        query, data = boost_instance
+        captured = []
+        full = capacity_engine(
+            query, data, config, checkpoint_every=10, on_checkpoint=captured.append
+        )
+        full.run()
+        assert full.stats.embeddings_found > 0
+        assert len(captured) >= 3, "periodic hook never fired"
+        for ckpt in captured[:: max(1, len(captured) // 12)]:
+            resumed = capacity_engine(query, data, config)
+            resumed.restore(SearchCheckpoint.from_json(ckpt.to_json()))
+            resumed.run()
+            assert resumed.embeddings == full.embeddings
+            assert resumed.stats.embeddings_found == full.stats.embeddings_found
+            assert resumed.stats.recursive_calls == full.stats.recursive_calls
+            assert resumed.occupiers == {}
+
+    def test_suspension_inside_expansion_is_not_resumable(self, boost_instance):
+        query, data = boost_instance
+        seen = []
+
+        def stop_at_third(embedding):
+            seen.append(embedding)
+            if len(seen) == 3:
+                raise RuntimeError("consumer failed")
+
+        engine = capacity_engine(
+            query, data, MatchConfig(leaf_decomposition=False), on_embedding=stop_at_third
+        )
+        with pytest.raises(RuntimeError):
+            engine.run()
+        assert not engine.can_checkpoint()

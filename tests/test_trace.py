@@ -49,6 +49,24 @@ class TestTraceStructure:
             edge_query, triangle_data, MatchConfig(use_failing_sets=False)
         )
         assert tracer.roots
+        nodes = tracer.all_nodes()
+        # DA shares DAF's driver, so it marks embeddings the same way...
+        assert any(node.outcome == "embedding" for node in nodes)
+        assert tracer.render().splitlines()[0] == "(u0, v0) *"
+        # ...but computes no failing sets.
+        assert all(node.failing_set is None for node in nodes)
+
+    def test_plain_engine_conflicts_carry_no_failing_set(self, rng):
+        conflicts_seen = 0
+        for _ in range(30):
+            query, data = random_graph_case(rng)
+            _, tracer = run_traced(
+                query, data, MatchConfig(use_failing_sets=False, leaf_decomposition=False)
+            )
+            for node in tracer.all_nodes():
+                assert node.failing_set is None
+                conflicts_seen += node.outcome == "conflict"
+        assert conflicts_seen > 0
 
 
 class TestExactFailingSets:
