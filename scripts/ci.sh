@@ -138,6 +138,8 @@ assert first == [('appeared', (0, 2))], first
 assert second == [('disappeared', (0, 1))], second
 assert payload[\"standing\"][\"dyn_query.graph\"] == [[0, 2]], payload[\"standing\"]
 assert all(b[\"cache_invalidated\"] == 0 for b in batches), batches
+# A refresh that cached nothing would cross-validate nothing.
+assert all(b[\"cache_refreshed\"] == 1 for b in batches), batches
 EOF
 "
 

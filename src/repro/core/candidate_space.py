@@ -21,6 +21,11 @@ Construction (``build_candidate_space``):
 3. Materialize CS edges as per-DAG-edge adjacency lists
    ``N^u_{u_c}(v)`` storing candidate *indices*, which is what the
    backtracking engine intersects to compute extendable candidates.
+
+The same driver refreshes a cached CS after data-graph mutations: given
+the old CS and the batch's footprint it replays the recorded passes,
+re-testing only candidates the batch could have affected
+(:mod:`repro.core.cs_delta`).
 """
 
 from __future__ import annotations
@@ -103,9 +108,21 @@ class CandidateSpace:
         return tuple(self.candidates[u_c][j] for j in self.down[u][u_c][i])
 
 
-def _candidate_sets_initial(
-    query: Graph, data: Graph, observer=None
+#: Safety net on a ``refine_to_fixpoint`` run's pass count.
+MAX_FIXPOINT_STEPS = 64
+
+
+def initial_candidate_sets(
+    query: Graph, data: Graph, injective: bool = True, observer=None
 ) -> list[set[int]]:
+    """C_ini(u) for every query vertex: label + degree (paper §3).
+
+    Homomorphisms may fold several query vertices onto one data vertex,
+    so the degree condition is unsound for them: with ``injective=False``
+    C_ini is label-only.
+    """
+    if not injective:
+        return [set(data.vertices_with_label(query.label(u))) for u in query.vertices()]
     sets = [set(initial_candidates(query, data, u)) for u in query.vertices()]
     if observer is not None:
         # C_ini rejections: data vertices with the right label that the
@@ -117,6 +134,27 @@ def _candidate_sets_initial(
     return sets
 
 
+def config_build_options(config, query: Graph, data: Graph) -> dict:
+    """The :func:`build_candidate_space` refinement arguments a
+    :class:`~repro.core.config.MatchConfig` implies.
+
+    This is the one home of the homomorphism rule: a non-injective
+    config starts from the label-only C_ini and never runs MND/NLF (both
+    assume injectivity).  The DP itself only checks existence and stays
+    sound for homomorphisms.
+    """
+    return {
+        "refinement_steps": config.refinement_steps,
+        "refine_to_fixpoint": config.refine_to_fixpoint,
+        "use_local_filters": config.use_local_filters and config.injective,
+        "initial_sets": (
+            None
+            if config.injective
+            else initial_candidate_sets(query, data, injective=False)
+        ),
+    }
+
+
 def _refine_pass(
     query: Graph,
     data: Graph,
@@ -124,6 +162,7 @@ def _refine_pass(
     cand: list[set[int]],
     apply_local_filters: bool = False,
     observer=None,
+    replay: Optional[tuple] = None,
 ) -> bool:
     """One DAG-graph DP pass in place; returns True if anything changed.
 
@@ -135,12 +174,27 @@ def _refine_pass(
     MND/NLF failures count as ``prune_label_degree``; DP failures (no
     CS edge to some child's candidate set — Recurrence (1)) count as
     ``prune_cs_edge``.
+
+    ``replay`` re-runs a recorded pass against a mutated data graph:
+    ``(recorded_in, recorded_out, dirty, local_dirty)`` holds this pass's
+    input and output sets on the old graph and the delta footprint's
+    dirty vertices (``local_dirty`` adds their neighbours, whose MND/NLF
+    signature may have moved).  A candidate that was in the recorded
+    input, is not stale, and borders no child candidate that flipped in
+    this pass sees exactly the recorded pass's neighbourhood and child
+    sets, so it copies its recorded outcome; only the rest are tested.
     """
     changed = False
+    if replay is not None:
+        recorded_in, recorded_out, dirty, local_dirty = replay
+        stale = local_dirty if apply_local_filters else dirty
+        flipped: dict[int, set[int]] = {}
     order = tuple(reversed(direction.topological_order()))
     for u in order:
         children = direction.children(u)
         if not children and not apply_local_filters:
+            if replay is not None:
+                flipped[u] = cand[u] ^ recorded_out[u]
             continue
         if apply_local_filters:
             # Hoist the query-side MND/NLF signatures out of the per-
@@ -148,8 +202,18 @@ def _refine_pass(
             # serving layer has built one.
             query_mnd = query.max_neighbor_degree(u)
             query_nlf = query.neighbor_label_counts(u)
-        survivors: set[int] = set()
-        for v in cand[u]:
+        if replay is None:
+            survivors: set[int] = set()
+            pool = cand[u]
+        else:
+            copied = cand[u] & recorded_in[u]
+            copied -= stale
+            for u_c in children:
+                for w in flipped[u_c]:
+                    copied.difference_update(data.neighbors(w))
+            survivors = copied & recorded_out[u]
+            pool = cand[u] - copied
+        for v in pool:
             if apply_local_filters and not passes_local_filters_hoisted(
                 data, v, query_mnd, query_nlf
             ):
@@ -173,6 +237,8 @@ def _refine_pass(
                 survivors.add(v)
             elif observer is not None:
                 observer.prune_cs_edge += 1
+        if replay is not None:
+            flipped[u] = survivors ^ recorded_out[u]
         if len(survivors) != len(cand[u]):
             changed = True
             cand[u] = survivors
@@ -186,11 +252,12 @@ def build_candidate_space(
     refinement_steps: int = 3,
     refine_to_fixpoint: bool = False,
     use_local_filters: bool = True,
-    max_fixpoint_steps: int = 64,
     initial_sets: Optional[list[set[int]]] = None,
     budget: Optional[Budget] = None,
     observer=None,
     keep_trail: bool = False,
+    previous: Optional[CandidateSpace] = None,
+    footprint=None,
 ) -> CandidateSpace:
     """BuildCS(q, q_D, G): construct the optimized CS (paper §4).
 
@@ -201,7 +268,7 @@ def build_candidate_space(
         q_D^{-1}; the filtering rate beyond 3 was < 1% in their study).
     refine_to_fixpoint:
         If True, keep alternating until no candidate set changes
-        (bounded by ``max_fixpoint_steps`` as a safety net).
+        (bounded by :data:`MAX_FIXPOINT_STEPS` as a safety net).
     use_local_filters:
         Apply MND + NLF during the first pass, as the paper suggests.
     initial_sets:
@@ -227,15 +294,25 @@ def build_candidate_space(
         ``trail`` attribute) so the serving layer can refresh it
         incrementally after data-graph mutations.  Costs one extra set
         copy per pass; off by default.
+    previous, footprint:
+        Incremental refresh (:mod:`repro.core.cs_delta`): ``previous`` is
+        a CS with a trail, built with the same parameters and DAG on the
+        graph ``data`` was mutated from, and ``footprint`` is the
+        batch's :class:`repro.graph.mutate.DeltaFootprint`.  Every pass
+        the old trail recorded is replayed over the footprint; later
+        passes run cold, and CS edge rows whose source and child list
+        did not move are reused.  The result equals a cold build.
     """
     if dag.query is not query:
         raise ValueError("the DAG must orient exactly this query graph")
+    if previous is not None and previous.trail is None:
+        raise ValueError("candidate space has no refinement trail (keep_trail=False)")
     if initial_sets is not None:
         if len(initial_sets) != query.num_vertices:
             raise ValueError("initial_sets needs one candidate set per query vertex")
         cand = [set(s) for s in initial_sets]
     else:
-        cand = _candidate_sets_initial(query, data, observer=observer)
+        cand = initial_candidate_sets(query, data, observer=observer)
     def _checkpoint(step: int) -> None:
         """Per-pass governance: fault hook + budget time/memory check."""
         if FAULTS.active:
@@ -250,6 +327,10 @@ def build_candidate_space(
         if trail is not None:
             trail.append([set(c) for c in cand])
 
+    if previous is not None:
+        old_trail = previous.trail
+        dirty = footprint.dirty
+        local_dirty = footprint.local_dirty(data)
     directions: tuple[AnyDAG, AnyDAG] = (dag.reverse(), dag)
     steps_done = 0
     bound = False
@@ -261,34 +342,25 @@ def build_candidate_space(
         _checkpoint(0)
         _snapshot()
         refine_start = time.perf_counter() if observer is not None else 0.0
-        if refine_to_fixpoint:
-            for step in range(max_fixpoint_steps):
-                changed = _refine_pass(
-                    query,
-                    data,
-                    directions[step % 2],
-                    cand,
-                    apply_local_filters=(step == 0),
-                    observer=observer,
-                )
-                steps_done += 1
-                _checkpoint(steps_done)
-                _snapshot()
-                if not changed and step > 0:
-                    break
-        else:
-            for step in range(refinement_steps):
-                _refine_pass(
-                    query,
-                    data,
-                    directions[step % 2],
-                    cand,
-                    apply_local_filters=(step == 0 and use_local_filters),
-                    observer=observer,
-                )
-                steps_done += 1
-                _checkpoint(steps_done)
-                _snapshot()
+        passes = MAX_FIXPOINT_STEPS if refine_to_fixpoint else refinement_steps
+        for step in range(passes):
+            replay = None
+            if previous is not None and step + 1 < len(old_trail):
+                replay = (old_trail[step], old_trail[step + 1], dirty, local_dirty)
+            changed = _refine_pass(
+                query,
+                data,
+                directions[step % 2],
+                cand,
+                apply_local_filters=(step == 0 and use_local_filters),
+                observer=observer,
+                replay=replay,
+            )
+            steps_done += 1
+            _checkpoint(steps_done)
+            _snapshot()
+            if refine_to_fixpoint and not changed and step > 0:
+                break
     finally:
         if bound:
             FAULTS.unbind_budget(budget)
@@ -301,22 +373,28 @@ def build_candidate_space(
     # Materialize CS edges along the rooted-DAG direction.  Edges are
     # "immediate from E(q) and E(G) once candidate sets are decided" (§4):
     # (v, v_c) is a CS edge iff (u, u_c) in E(q_D) and (v, v_c) in E(G).
+    # A refresh reuses the old row of a clean source vertex whenever the
+    # child's candidate list, hence its index mapping, is unchanged.
     down: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in query.vertices()]
     candidate_footprint = sum(len(c) for c in candidates) * CANDIDATE_BYTES
     edges_materialized = 0
     for u in query.vertices():
         for u_c in dag.children(u):
             child_index = candidate_index[u_c]
+            old_rows = None
+            if previous is not None and candidates[u_c] == previous.candidates[u_c]:
+                old_rows = previous.down[u][u_c]
+                old_index = previous.candidate_index[u]
             adjacency: list[tuple[int, ...]] = []
             for v in candidates[u]:
-                adjacency.append(
-                    tuple(
-                        child_index[w]
-                        for w in data.neighbors(v)
-                        if w in child_index
+                if old_rows is not None and v not in dirty and v in old_index:
+                    row = old_rows[old_index[v]]
+                else:
+                    row = tuple(
+                        child_index[w] for w in data.neighbors(v) if w in child_index
                     )
-                )
-                edges_materialized += len(adjacency[-1])
+                adjacency.append(row)
+                edges_materialized += len(row)
             down[u][u_c] = adjacency
         if budget is not None:
             # Catch a blowing-up CS per query vertex, before it finishes.

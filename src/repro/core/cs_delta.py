@@ -2,20 +2,22 @@
 
 The serving layer caches one :class:`CandidateSpace` per (query, config)
 pair.  When the data graph mutates, rebuilding every cached CS from
-scratch costs a full BuildCS per entry; this module refreshes a CS by
-*replaying* its recorded refinement trail (``CandidateSpace.trail``,
-recorded by ``build_candidate_space(keep_trail=True)``) against the
-mutated graph, re-evaluating only candidates the delta batch could have
-affected.
+scratch costs a full BuildCS per entry; :func:`refresh_candidate_space`
+instead runs BuildCS in *replay* mode
+(``build_candidate_space(previous=..., footprint=...)``): the same pass
+loop, where each recorded pass of the old CS's trail
+(``CandidateSpace.trail``, recorded by ``keep_trail=True``) is re-run by
+``_refine_pass`` against the mutated graph, re-evaluating only the
+candidates the delta batch could have affected.
 
 The contract is strict **bit-identity**: the refreshed CS — candidate
 lists, index maps, materialized ``down`` adjacency, and the
 ``refinement_steps`` count — equals what a cold
 :func:`~repro.core.candidate_space.build_candidate_space` on the mutated
-graph would produce with the same parameters.  That holds because each
-replayed pass re-evaluates a superset of the candidates whose pass
-outcome could differ, and copies the trail's recorded outcome for the
-rest:
+graph would produce with the same parameters.  That holds because C_ini
+is recomputed cold, and each replayed pass re-evaluates a superset of
+the candidates whose pass outcome could differ, copying the trail's
+recorded outcome for the rest:
 
 - a vertex in the footprint's ``dirty`` set (adjacency, degree, or label
   possibly changed) is always re-evaluated;
@@ -30,7 +32,7 @@ rest:
 Every other vertex sees the same neighborhood and the same intersecting
 child candidates as the recorded run, so copying its recorded membership
 is exact.  Passes beyond the recorded trail (a fixpoint run that now
-needs extra passes) fall back to the cold ``_refine_pass`` itself.
+needs extra passes) run cold.
 
 :func:`cs_diff` is the cross-validation half: a structural comparison
 used by tests, the equivalence suite, and ``repro update
@@ -39,14 +41,9 @@ used by tests, the equivalence suite, and ``repro update
 
 from __future__ import annotations
 
-import time
-from typing import Optional
-
 from ..graph.digraph import RootedDAG
 from ..graph.graph import Graph
-from ..resilience.budget import CANDIDATE_BYTES, CS_EDGE_BYTES, Budget
-from .candidate_space import AnyDAG, CandidateSpace, _refine_pass
-from .filters import passes_local_filters_hoisted
+from .candidate_space import CandidateSpace, build_candidate_space, config_build_options
 
 
 def dag_equivalent(a: RootedDAG, b: RootedDAG) -> bool:
@@ -62,240 +59,27 @@ def dag_equivalent(a: RootedDAG, b: RootedDAG) -> bool:
     return all(a.children(u) == b.children(u) for u in a.query.vertices())
 
 
-def _replay_pass(
-    query: Graph,
-    data: Graph,
-    direction: AnyDAG,
-    new_prev: list[set[int]],
-    old_prev: list[set[int]],
-    old_cur: list[set[int]],
-    always_dirty: set[int],
-    local_dirty: set[int],
-    apply_local_filters: bool,
-    observer=None,
-) -> tuple[list[set[int]], bool]:
-    """Replay one recorded DP pass against the mutated graph.
-
-    ``new_prev`` is this pass's input on the new graph; ``old_prev`` /
-    ``old_cur`` are the recorded input/output of the same pass on the old
-    graph.  Returns the new output sets and the pass's ``changed`` flag
-    (True iff some output set differs from its input, matching
-    ``_refine_pass``'s fixpoint signal).
-    """
-    n = query.num_vertices
-    new_cur: list[Optional[set[int]]] = [None] * n
-    flipped: list[Optional[set[int]]] = [None] * n
-    changed = False
-    for u in reversed(direction.topological_order()):
-        children = direction.children(u)
-        if not children and not apply_local_filters:
-            # The cold pass skips such vertices entirely: output = input.
-            out = set(new_prev[u])
-            new_cur[u] = out
-            flipped[u] = out ^ old_cur[u]
-            continue
-        if apply_local_filters:
-            query_mnd = query.max_neighbor_degree(u)
-            query_nlf = query.neighbor_label_counts(u)
-        child_dirty: set[int] = set()
-        for u_c in children:
-            for w in flipped[u_c]:
-                child_dirty.update(data.neighbors(w))
-        recorded_in = old_prev[u]
-        recorded_out = old_cur[u]
-        out = set()
-        for v in new_prev[u]:
-            if (
-                v in recorded_in
-                and v not in always_dirty
-                and v not in child_dirty
-                and not (apply_local_filters and v in local_dirty)
-            ):
-                # Same neighborhood, same local signature, and the same
-                # child candidates intersecting it as the recorded pass:
-                # copy the recorded outcome.
-                if v in recorded_out:
-                    out.add(v)
-                continue
-            if apply_local_filters and not passes_local_filters_hoisted(
-                data, v, query_mnd, query_nlf
-            ):
-                if observer is not None:
-                    observer.prune_label_degree += 1
-                continue
-            ok = True
-            v_neighbors = data.neighbor_set(v)
-            for u_c in children:
-                child_cand = new_cur[u_c]
-                if len(child_cand) <= len(v_neighbors):
-                    if child_cand.isdisjoint(v_neighbors):
-                        ok = False
-                        break
-                else:
-                    if not any(w in child_cand for w in v_neighbors):
-                        ok = False
-                        break
-            if ok:
-                out.add(v)
-            elif observer is not None:
-                observer.prune_cs_edge += 1
-        if out != new_prev[u]:
-            changed = True
-        new_cur[u] = out
-        flipped[u] = out ^ recorded_out
-    return new_cur, changed
-
-
 def refresh_candidate_space(
-    old: CandidateSpace,
-    data: Graph,
-    footprint,
-    *,
-    refinement_steps: int = 3,
-    refine_to_fixpoint: bool = False,
-    use_local_filters: bool = True,
-    max_fixpoint_steps: int = 64,
-    label_only_initial: bool = False,
-    budget: Optional[Budget] = None,
-    observer=None,
+    old: CandidateSpace, data: Graph, footprint, config, observer=None
 ) -> CandidateSpace:
     """Refresh ``old`` (built on the pre-batch graph, with a trail)
     against the mutated graph ``data``.
 
-    ``footprint`` is the batch's :class:`repro.graph.mutate.DeltaFootprint`.
-    The refinement parameters must match the ones the old CS was built
-    with (the serving layer derives both from the same
-    :class:`~repro.core.config.MatchConfig`); ``label_only_initial``
-    selects the homomorphism-mode label-only C_ini that
-    ``DAFMatcher.prepare`` uses for non-injective configs.
-
-    The caller has already established DAG stability (see
-    :func:`dag_equivalent`); the old DAG is reused as-is, which is valid
-    because a :class:`RootedDAG` references only the query graph.
+    ``footprint`` is the batch's :class:`repro.graph.mutate.DeltaFootprint`
+    and ``config`` the :class:`~repro.core.config.MatchConfig` the old CS
+    was built under.  The caller has already established DAG stability
+    (see :func:`dag_equivalent`); the old DAG is reused as-is, which is
+    valid because a :class:`RootedDAG` references only the query graph.
     """
-    if old.trail is None:
-        raise ValueError("candidate space has no refinement trail (keep_trail=False)")
-    query = old.query
-    dag = old.dag
-    always_dirty = set(footprint.dirty)
-    local_dirty = footprint.local_dirty(data)
-
-    start = time.perf_counter() if observer is not None else 0.0
-
-    # Pass 0: replay C_ini.  Membership of a clean vertex is unchanged
-    # (same label, same degree); dirty vertices are re-tested directly.
-    old_init = old.trail[0]
-    cur: list[set[int]] = []
-    for u in query.vertices():
-        sets = {v for v in old_init[u] if v not in always_dirty}
-        query_label = query.label(u)
-        if label_only_initial:
-            for v in always_dirty:
-                if data.label(v) == query_label:
-                    sets.add(v)
-        else:
-            query_degree = query.degree(u)
-            for v in always_dirty:
-                if data.label(v) == query_label and data.degree(v) >= query_degree:
-                    sets.add(v)
-        cur.append(sets)
-    trail: list[list[set[int]]] = [[set(s) for s in cur]]
-
-    def _poll(step: int) -> None:
-        if budget is not None:
-            budget.note_memory(sum(len(c) for c in cur) * CANDIDATE_BYTES)
-            budget.poll()
-
-    _poll(0)
-    directions: tuple[AnyDAG, AnyDAG] = (dag.reverse(), dag)
-    old_trail = old.trail
-    steps_done = 0
-
-    def run_pass(step: int, apply_local: bool) -> bool:
-        nonlocal cur
-        direction = directions[step % 2]
-        pass_index = step + 1
-        if pass_index < len(old_trail):
-            new_cur, changed = _replay_pass(
-                query,
-                data,
-                direction,
-                cur,
-                old_trail[pass_index - 1],
-                old_trail[pass_index],
-                always_dirty,
-                local_dirty,
-                apply_local,
-                observer=observer,
-            )
-            cur = new_cur
-            return changed
-        # The old run stopped earlier than this one needs: no recorded
-        # outcome to replay against, so run the cold pass directly.
-        changed = _refine_pass(
-            query, data, direction, cur, apply_local_filters=apply_local, observer=observer
-        )
-        return changed
-
-    if refine_to_fixpoint:
-        for step in range(max_fixpoint_steps):
-            changed = run_pass(step, apply_local=(step == 0))
-            steps_done += 1
-            _poll(steps_done)
-            trail.append([set(s) for s in cur])
-            if not changed and step > 0:
-                break
-    else:
-        for step in range(refinement_steps):
-            run_pass(step, apply_local=(step == 0 and use_local_filters))
-            steps_done += 1
-            _poll(steps_done)
-            trail.append([set(s) for s in cur])
-    if observer is not None:
-        observer.record_span("cs_refine", time.perf_counter() - start)
-
-    candidates = [sorted(c) for c in cur]
-    candidate_index = [{v: i for i, v in enumerate(c)} for c in candidates]
-
-    # Materialize `down`, reusing old adjacency rows where both the row's
-    # source vertex kept its neighborhood (not dirty) and the child's
-    # candidate *list* — hence its index mapping — is unchanged.
-    down: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in query.vertices()]
-    candidate_footprint = sum(len(c) for c in candidates) * CANDIDATE_BYTES
-    edges_materialized = 0
-    for u in query.vertices():
-        old_u_index = old.candidate_index[u]
-        for u_c in dag.children(u):
-            child_index = candidate_index[u_c]
-            child_unchanged = candidates[u_c] == old.candidates[u_c]
-            old_rows = old.down[u].get(u_c, ())
-            adjacency: list[tuple[int, ...]] = []
-            for v in candidates[u]:
-                if child_unchanged and v not in always_dirty and v in old_u_index:
-                    row = old_rows[old_u_index[v]]
-                else:
-                    row = tuple(
-                        child_index[w] for w in data.neighbors(v) if w in child_index
-                    )
-                adjacency.append(row)
-                edges_materialized += len(row)
-            down[u][u_c] = adjacency
-        if budget is not None:
-            budget.note_memory(candidate_footprint + edges_materialized * CS_EDGE_BYTES)
-            budget.poll()
-
-    if observer is not None:
-        observer.observe_candidate_sizes(len(c) for c in candidates)
-
-    return CandidateSpace(
-        query=query,
-        data=data,
-        dag=dag,
-        candidates=candidates,
-        candidate_index=candidate_index,
-        down=down,
-        refinement_steps=steps_done,
-        trail=trail,
+    return build_candidate_space(
+        old.query,
+        data,
+        old.dag,
+        **config_build_options(config, old.query, data),
+        observer=observer,
+        keep_trail=True,
+        previous=old,
+        footprint=footprint,
     )
 
 

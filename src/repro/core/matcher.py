@@ -32,7 +32,7 @@ from ..interfaces import (
 from ..resilience.budget import Budget, BudgetExceeded
 from ..resilience.checkpoint import resume_payload
 from .backtrack import BacktrackEngine
-from .candidate_space import CandidateSpace, build_candidate_space
+from .candidate_space import CandidateSpace, build_candidate_space, config_build_options
 from .config import MatchConfig
 from .dag import build_dag
 
@@ -122,28 +122,12 @@ class DAFMatcher(Matcher):
         dag = build_dag(query, data)
         if obs is not None:
             obs.record_span("dag_build", time.perf_counter() - start)
-        if self.config.injective:
-            initial_sets = None
-            use_local_filters = self.config.use_local_filters
-        else:
-            # Homomorphisms may fold several query vertices onto one data
-            # vertex, so the degree-based C_ini and the MND/NLF filters
-            # (which all assume injectivity) are unsound: fall back to
-            # label-only initial candidates.  The DP itself only checks
-            # existence and stays sound for homomorphisms.
-            initial_sets = [
-                set(data.vertices_with_label(query.label(u))) for u in query.vertices()
-            ]
-            use_local_filters = False
         cs_start = time.perf_counter()
         cs = build_candidate_space(
             query,
             data,
             dag,
-            refinement_steps=self.config.refinement_steps,
-            refine_to_fixpoint=self.config.refine_to_fixpoint,
-            use_local_filters=use_local_filters,
-            initial_sets=initial_sets,
+            **config_build_options(self.config, query, data),
             budget=budget,
             observer=obs,
             keep_trail=keep_trail,

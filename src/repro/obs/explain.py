@@ -152,16 +152,6 @@ def explain(query: Graph, data: Graph, config: MatchConfig | None = None) -> Que
     initial_sizes = {
         u: initial_candidate_count(query, data, u) for u in query.vertices()
     }
-    per_step: list[dict[int, int]] = []
-    for steps in range(1, cfg.refinement_steps + 1):
-        cs_step = build_candidate_space(
-            query,
-            data,
-            dag,
-            refinement_steps=steps,
-            use_local_filters=cfg.use_local_filters,
-        )
-        per_step.append({u: len(cs_step.candidates[u]) for u in query.vertices()})
     cs = build_candidate_space(
         query,
         data,
@@ -169,7 +159,14 @@ def explain(query: Graph, data: Graph, config: MatchConfig | None = None) -> Que
         refinement_steps=cfg.refinement_steps,
         refine_to_fixpoint=cfg.refine_to_fixpoint,
         use_local_filters=cfg.use_local_filters,
+        keep_trail=True,
     )
+    # Sizes after each of the first ``refinement_steps`` passes.  A
+    # fixpoint run that stopped earlier is padded with its last snapshot:
+    # a DP pass is idempotent at the fixpoint.
+    snapshots = cs.trail[1 : cfg.refinement_steps + 1]
+    snapshots += [snapshots[-1]] * (cfg.refinement_steps - len(snapshots))
+    per_step = [{u: len(s[u]) for u in query.vertices()} for s in snapshots]
     weight_summary = {}
     if not cs.is_empty():
         weights = compute_weight_array(cs)

@@ -159,12 +159,16 @@ class PreparedQueryCache:
         from a capacity eviction, so telemetry can separate churn from
         pressure.  LRU recency is preserved.  Returns
         ``(refreshed, invalidated)`` entry counts.
+
+        Every replacement is computed before any is committed, so a
+        ``refresh`` that raises leaves the whole cache on its old version.
         """
+        replacements = {
+            key: refresh(entry.prepared) for key, entry in self._entries.items()
+        }
         refreshed = 0
         invalidated = 0
-        for key in list(self._entries):
-            entry = self._entries[key]
-            replacement = refresh(entry.prepared)
+        for key, replacement in replacements.items():
             if replacement is None:
                 del self._entries[key]
                 bucket = self._buckets[key[0]]
@@ -176,7 +180,7 @@ class PreparedQueryCache:
                 if self.observer is not None:
                     self.observer.cache_invalidation += 1
             else:
-                entry.prepared = replacement
+                self._entries[key].prepared = replacement
                 refreshed += 1
         self.graph_version = new_version
         return refreshed, invalidated

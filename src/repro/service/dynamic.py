@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from ..core.candidate_space import initial_candidate_sets
 from ..core.cs_delta import cs_diff, dag_equivalent, refresh_candidate_space
 from ..core.dag import build_dag
 from ..core.matcher import DAFMatcher, PreparedQuery
@@ -110,17 +111,6 @@ def _still_embeds(
                 ):
                     return False
     return True
-
-
-def _candidate_sets(query: Graph, data: Graph, injective: bool) -> list[set[int]]:
-    """Per-query-vertex candidate pools for the anchored delta search —
-    the same label(+degree) regions BuildCS starts from, served from the
-    session's :class:`~repro.graph.GraphIndex` fast path."""
-    from ..core.filters import initial_candidates
-
-    if injective:
-        return [set(initial_candidates(query, data, u)) for u in query.vertices()]
-    return [set(data.vertices_with_label(query.label(u))) for u in query.vertices()]
 
 
 def _search_order(query: Graph, start: int) -> list[int]:
@@ -282,7 +272,7 @@ class StandingQuery:
             anchors |= {v for edge in footprint.deleted_edges for v in edge}
         found: set[tuple[int, ...]] = set()
         if anchors:
-            cand_sets = _candidate_sets(query, data, self.injective)
+            cand_sets = initial_candidate_sets(query, data, self.injective)
             for u in query.vertices():
                 for v in sorted(anchors & cand_sets[u]):
                     _anchored_embeddings(
@@ -432,14 +422,7 @@ def apply_batch(
             # trail replay against a different orientation is meaningless.
             return None
         new_cs = refresh_candidate_space(
-            prepared.cs,
-            new_data,
-            footprint,
-            refinement_steps=config.refinement_steps,
-            refine_to_fixpoint=config.refine_to_fixpoint,
-            use_local_filters=config.use_local_filters if config.injective else False,
-            label_only_initial=not config.injective,
-            observer=session.observer,
+            prepared.cs, new_data, footprint, config, observer=session.observer
         )
         if cross_validate:
             cold = matcher.prepare(prepared.query, new_data, keep_trail=True)

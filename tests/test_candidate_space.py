@@ -1,10 +1,16 @@
 """Unit tests for the CS structure and DAG-graph DP (paper §4)."""
 
+import hashlib
+import itertools
+import random
+
 import pytest
 
+from repro import DAFMatcher, MatchConfig, MatchRequest
 from repro.baselines import BruteForceMatcher
 from repro.core import build_candidate_space, build_dag, has_weak_embedding
 from repro.graph import Graph
+from repro.obs import MetricsRegistry
 from tests.conftest import make_cartesian_trap, random_graph_case
 
 
@@ -80,6 +86,22 @@ class TestRefinement:
             fix = build_cs(query, data, refine_to_fixpoint=True)
             assert fix.size <= three.size
 
+    def test_homomorphism_fixpoint_skips_local_filters(self):
+        # MND/NLF assume injectivity: A-B-A folds onto the one data edge
+        # only if the fixpoint loop leaves them off like the fixed one.
+        data = Graph(labels=["A", "B"], edges=[(0, 1)])
+        query = Graph(labels=["A", "B", "A"], edges=[(0, 1), (1, 2)])
+        oracle = [
+            image
+            for image in itertools.product(data.vertices(), repeat=query.num_vertices)
+            if all(data.label(image[u]) == query.label(u) for u in query.vertices())
+            and all(data.has_edge(image[a], image[b]) for a, b in query.edges())
+        ]
+        config = MatchConfig(injective=False, refine_to_fixpoint=True)
+        result = DAFMatcher(config).match(MatchRequest(query, data))
+        assert oracle == [(0, 1, 0)]
+        assert sorted(result.embeddings) == oracle
+
     def test_refinement_steps_recorded(self, triangle_data, edge_query):
         cs = build_cs(edge_query, triangle_data, refinement_steps=5)
         assert cs.refinement_steps == 5
@@ -151,3 +173,55 @@ class TestStructure:
         (child,) = cs.dag.children(root)
         v = cs.candidates[root][0]
         assert set(cs.neighbors_down(root, child, v)) <= set(cs.candidates[child])
+
+
+# ----------------------------------------------------------------------
+# Golden candidate spaces
+# ----------------------------------------------------------------------
+# A seeded corpus (every other data graph indexed) is prepared under each
+# config and pinned on a digest of the candidate lists, the ``down``
+# adjacency, the pass count, and the two refinement prune counters.  The
+# values were recorded before incremental refresh was folded into
+# BuildCS's pass loop, so any drift in refinement, edge materialization or
+# prune accounting fails here.
+
+GOLDEN_CS_CONFIGS = {
+    "default": MatchConfig(),
+    "fixpoint": MatchConfig(refine_to_fixpoint=True),
+    "homomorphism": MatchConfig(injective=False),
+    "no-local-filters": MatchConfig(use_local_filters=False),
+    "one-step": MatchConfig(refinement_steps=1),
+}
+
+GOLDEN_CS = {
+    "default": "3ad67b1a0f1a3ef2",
+    "fixpoint": "d998eabf3dd822cd",
+    "homomorphism": "8ee1a8800e7599f4",
+    "no-local-filters": "e033b6428903099f",
+    "one-step": "40106d6666244a4e",
+}
+
+
+def _golden_cs_digest(config):
+    rng = random.Random(20190630)
+    digest = hashlib.sha256()
+    for case in range(60):
+        query, data = random_graph_case(rng, max_vertices=50, max_query=8)
+        if case % 2:
+            data.ensure_index()
+        observer = MetricsRegistry()
+        cs = DAFMatcher(config).prepare(query, data, observer=observer).cs
+        pinned = (
+            cs.candidates,
+            cs.down,
+            cs.refinement_steps,
+            observer.prune_label_degree,
+            observer.prune_cs_edge,
+        )
+        digest.update(repr(pinned).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_CS_CONFIGS))
+def test_golden_candidate_space(key):
+    assert _golden_cs_digest(GOLDEN_CS_CONFIGS[key]) == GOLDEN_CS[key]

@@ -33,6 +33,7 @@ from repro.baselines import GraphQLMatcher, VF2Matcher
 from repro.core.cs_delta import cs_diff, refresh_candidate_space
 from repro.graph import Graph, GraphIndex
 from repro.graph.mutate import TOMBSTONE_LABEL, apply_update
+from repro.resilience.faults import FaultSpec, InjectedFault, inject
 from repro.service import DataGraphSession, StandingQuery
 
 from .conftest import random_graph_case
@@ -182,8 +183,16 @@ class TestIncrementalIndex:
         MatchConfig(injective=False),
         MatchConfig(use_local_filters=False),
         MatchConfig(refinement_steps=1),
+        MatchConfig(injective=False, refine_to_fixpoint=True),
     ],
-    ids=["default", "fixpoint", "homomorphism", "no-local-filters", "one-step"],
+    ids=[
+        "default",
+        "fixpoint",
+        "homomorphism",
+        "no-local-filters",
+        "one-step",
+        "homomorphism-fixpoint",
+    ],
 )
 class TestIncrementalCandidateSpace:
     def test_refresh_is_bit_identical_to_cold_build(self, rng, config):
@@ -208,15 +217,7 @@ class TestIncrementalCandidateSpace:
             data, random_batch(rng, data, 4)
         )
         new_data.ensure_index()
-        refreshed = refresh_candidate_space(
-            prepared.cs,
-            new_data,
-            footprint,
-            refinement_steps=config.refinement_steps,
-            refine_to_fixpoint=config.refine_to_fixpoint,
-            use_local_filters=config.use_local_filters if config.injective else False,
-            label_only_initial=not config.injective,
-        )
+        refreshed = refresh_candidate_space(prepared.cs, new_data, footprint, config)
         cold = matcher.prepare(query, new_data, keep_trail=True)
         assert cs_diff(refreshed, cold.cs) == []
 
@@ -250,6 +251,62 @@ class TestSessionApply:
         session.apply(UpdateBatch((Delta.insert_edge(0, 2),)))
         assert {tuple(e) for e in session.run(request).embeddings} == {(0, 1), (0, 2)}
         assert session.cache.stats()["hits"] == 1  # served by the rebased entry
+
+    def _two_entry_session(self):
+        # Path A-B-A-B-C with the A-B and B-C shapes cached; inserting the
+        # edge (0, 3) adds a fourth A-B embedding.
+        data = Graph(
+            labels=["A", "B", "A", "B", "C"], edges=[(0, 1), (1, 2), (2, 3), (3, 4)]
+        )
+        session = DataGraphSession(data)
+        requests = [
+            MatchRequest(Graph(labels=["A", "B"], edges=[(0, 1)])),
+            MatchRequest(Graph(labels=["B", "C"], edges=[(0, 1)])),
+        ]
+        answers = [embedding_set(session.run(r)) for r in requests]
+        return session, requests, answers
+
+    def _assert_unmoved(self, session, before, requests, answers):
+        assert session.data is before
+        assert session.graph_version == 0
+        assert session.cache.stats()["graph_version"] == 0
+        assert [embedding_set(session.run(r)) for r in requests] == answers
+        fresh = DataGraphSession(session.data)
+        assert [embedding_set(fresh.run(r)) for r in requests] == answers
+
+    def test_failed_refresh_leaves_every_entry_on_old_graph(self, monkeypatch):
+        import repro.service.dynamic as dynamic
+
+        session, requests, answers = self._two_entry_session()
+        before = session.data
+        calls = []
+        real_refresh = dynamic.refresh_candidate_space
+
+        def refresh_then_fail(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise UpdateError("refresh failed")
+            return real_refresh(*args, **kwargs)
+
+        monkeypatch.setattr(dynamic, "refresh_candidate_space", refresh_then_fail)
+        with pytest.raises(UpdateError):
+            session.apply(UpdateBatch((Delta.insert_edge(0, 3),)))
+        assert len(calls) == 2  # the first entry was refreshed, then dropped
+        self._assert_unmoved(session, before, requests, answers)
+
+    @pytest.mark.faults
+    def test_refine_fault_during_apply_keeps_old_version(self):
+        session, requests, answers = self._two_entry_session()
+        before = session.data
+        # A 3-pass build visits cs.refine four times (C_ini + each pass),
+        # so visit 4 is the first pass of the second entry's refresh.
+        with inject(FaultSpec("cs.refine", kind="raise", at_visit=4)):
+            with pytest.raises(InjectedFault):
+                session.apply(UpdateBatch((Delta.insert_edge(0, 3),)))
+        self._assert_unmoved(session, before, requests, answers)
+        result = session.apply(UpdateBatch((Delta.insert_edge(0, 3),)))
+        assert result.graph_version == 1 and result.cache_refreshed == 2
+        assert len(embedding_set(session.run(requests[0]))) == 4
 
     def test_dag_flip_invalidates_entry(self):
         # Initially label A is rare (1 candidate) so BuildDAG roots there;
