@@ -68,7 +68,7 @@ trap 'rm -rf "$OBS_TMP"' EXIT
 timeout --kill-after=30 "$OBS_TIMEOUT" sh -ec "
     python -m repro generate dataset yeast '$OBS_TMP/yeast.graph' >/dev/null
     python -m repro generate queries '$OBS_TMP/yeast.graph' '$OBS_TMP/q' \
-        --size 8 --count 1 --seed 7 >/dev/null
+        --size 8 --count 2 --seed 7 >/dev/null
     python -m repro match \"\$(ls '$OBS_TMP'/q/*.graph | head -1)\" \
         '$OBS_TMP/yeast.graph' --limit 1000 --count-only \
         --metrics-out '$OBS_TMP/metrics.jsonl' >/dev/null
@@ -140,6 +140,49 @@ assert payload[\"standing\"][\"dyn_query.graph\"] == [[0, 2]], payload[\"standin
 assert all(b[\"cache_invalidated\"] == 0 for b in batches), batches
 # A refresh that cached nothing would cross-validate nothing.
 assert all(b[\"cache_refreshed\"] == 1 for b in batches), batches
+EOF
+"
+
+echo "==> dynamic smoke on yeast (cap: ${OBS_TIMEOUT}s)"
+# The same cross-validated update path at a realistic size: seeded
+# random edge insert/delete batches against the generated yeast graph,
+# with two standing queries.  After every batch the refreshed GraphIndex
+# and both cached candidate spaces must equal cold rebuilds.
+timeout --kill-after=30 "$OBS_TIMEOUT" sh -ec "
+    python - '$OBS_TMP' <<'EOF'
+import json, random, sys
+from pathlib import Path
+from repro.graph.io import read_cfl
+tmp = Path(sys.argv[1])
+graph = read_cfl(tmp / 'yeast.graph')
+rng = random.Random(2019)
+present = set(graph.edges())
+lines = []
+for _ in range(4):
+    batch, touched = [], set()
+    for u, v in rng.sample(sorted(present), 3):
+        present.discard((u, v))
+        touched.add((u, v))
+        batch.append({'op': 'delete-edge', 'u': u, 'v': v})
+    while len(batch) < 6:
+        u, v = sorted(rng.sample(range(graph.num_vertices), 2))
+        if (u, v) not in present and (u, v) not in touched:
+            present.add((u, v))
+            touched.add((u, v))
+            batch.append({'op': 'insert-edge', 'u': u, 'v': v})
+    lines.append(json.dumps(batch))
+(tmp / 'yeast_updates.jsonl').write_text('\n'.join(lines) + '\n')
+EOF
+    python -m repro update '$OBS_TMP/yeast.graph' '$OBS_TMP/yeast_updates.jsonl' \
+        --queries \$(ls '$OBS_TMP'/q/*.graph | head -2) --cross-validate \
+        > '$OBS_TMP/yeast_dyn.json'
+    python - '$OBS_TMP/yeast_dyn.json' <<'EOF'
+import json, sys
+payload = json.load(open(sys.argv[1]))
+assert payload[\"cross_validated\"], payload
+assert payload[\"graph_version\"] == 4, payload
+assert len(payload[\"standing\"]) == 2, payload[\"standing\"]
+assert sum(b[\"cache_refreshed\"] for b in payload[\"batches\"]) > 0, payload
 EOF
 "
 

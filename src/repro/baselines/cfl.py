@@ -34,7 +34,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..core.filters import initial_candidates, passes_neighborhood_label_frequency
+from ..core.filters import (
+    initial_candidate_count,
+    initial_candidates,
+    passes_neighborhood_label_frequency,
+)
 from ..graph.graph import Graph
 from ..graph.properties import k_core_vertices
 from ..interfaces import (
@@ -84,8 +88,6 @@ class CPI:
 def select_cfl_root(query: Graph, data: Graph) -> int:
     """Root = core vertex minimizing |C_ini(u)| / deg(u) (whole query when
     the 2-core is empty, i.e. tree queries)."""
-    from ..core.filters import initial_candidate_count
-
     core = k_core_vertices(query, 2)
     pool = core if core else frozenset(query.vertices())
 

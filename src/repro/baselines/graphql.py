@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional, Sequence
 
-from ..core.filters import initial_candidates
+from ..core.filters import initial_candidates, passes_neighborhood_label_frequency
 from ..graph.graph import Graph
 from ..interfaces import (
     DEFAULT_LIMIT,
@@ -33,15 +33,6 @@ from ..interfaces import (
     validate_inputs,
 )
 from .generic import greedy_candidate_order, observe_baseline_run, ordered_backtrack
-
-
-def profile_dominates(query: Graph, data: Graph, u: int, v: int) -> bool:
-    """Is u's neighbor-label multiset contained in v's?"""
-    v_counts = data.neighbor_label_counts(v)
-    for label, needed in query.neighbor_label_counts(u).items():
-        if v_counts.get(label, 0) < needed:
-            return False
-    return True
 
 
 def _has_semi_perfect_matching(
@@ -121,7 +112,11 @@ class GraphQLMatcher(Matcher):
         validate_inputs(query, data)
         start = time.perf_counter()
         candidate_sets = [
-            {v for v in initial_candidates(query, data, u) if profile_dominates(query, data, u, v)}
+            {
+                v
+                for v in initial_candidates(query, data, u)
+                if passes_neighborhood_label_frequency(query, data, u, v)
+            }
             for u in query.vertices()
         ]
         pseudo_iso_refine(query, data, candidate_sets, rounds=self.refinement_rounds)

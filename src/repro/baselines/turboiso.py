@@ -28,7 +28,11 @@ import time
 from collections import deque
 from typing import Callable, Optional
 
-from ..core.filters import initial_candidates, passes_neighborhood_label_frequency
+from ..core.filters import (
+    initial_candidate_count,
+    initial_candidates,
+    passes_neighborhood_label_frequency,
+)
 from ..graph.graph import Graph
 from ..graph.properties import spanning_tree_edges
 from ..interfaces import (
@@ -50,8 +54,6 @@ class _LimitReached(Exception):
 
 def choose_start_vertex(query: Graph, data: Graph) -> int:
     """Rank query vertices by |C_ini(u)| / deg(u); smallest wins."""
-    from ..core.filters import initial_candidate_count
-
     def score(u: int) -> float:
         degree = query.degree(u)
         count = initial_candidate_count(query, data, u)

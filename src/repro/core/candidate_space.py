@@ -189,6 +189,8 @@ def _refine_pass(
         recorded_in, recorded_out, dirty, local_dirty = replay
         stale = local_dirty if apply_local_filters else dirty
         flipped: dict[int, set[int]] = {}
+    if apply_local_filters:
+        index = data.index
     order = tuple(reversed(direction.topological_order()))
     for u in order:
         children = direction.children(u)
@@ -198,8 +200,7 @@ def _refine_pass(
             continue
         if apply_local_filters:
             # Hoist the query-side MND/NLF signatures out of the per-
-            # candidate loop; the data side hits the GraphIndex when the
-            # serving layer has built one.
+            # candidate loop; the data side is a GraphIndex lookup.
             query_mnd = query.max_neighbor_degree(u)
             query_nlf = query.neighbor_label_counts(u)
         if replay is None:
@@ -215,7 +216,7 @@ def _refine_pass(
             pool = cand[u] - copied
         for v in pool:
             if apply_local_filters and not passes_local_filters_hoisted(
-                data, v, query_mnd, query_nlf
+                index, v, query_mnd, query_nlf
             ):
                 if observer is not None:
                     observer.prune_label_degree += 1

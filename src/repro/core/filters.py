@@ -6,39 +6,27 @@ from CFL-Match/Turbo_iso: maximum neighbor degree (MND) and neighborhood
 label frequency (NLF).  All filters are *sound*: they never remove a data
 vertex that participates in an embedding.
 
-Every data-side check has two implementations with identical results:
-the per-call scan (always available) and a lookup against the graph's
-:class:`repro.graph.GraphIndex` when one was built via
-``data.ensure_index()`` (the ``repro.service`` session does this once per
-data graph).  The fast path engages transparently through
-``data.cached_index`` — callers never choose.
+The data side of every check reads ``data.index``, the
+:class:`repro.graph.GraphIndex` each frozen data graph builds once, on
+first use.  The query side is computed from the query graph directly;
+query graphs never build an index.
 """
 
 from __future__ import annotations
 
 from ..graph.graph import Graph, Label
+from ..graph.index import GraphIndex
 
 
 def initial_candidates(query: Graph, data: Graph, u: int) -> list[int]:
-    """C_ini(u) = { v : L(v) = L(u) and deg(v) >= deg(u) } (paper §3).
-
-    Returned in ascending vertex-id order on both the scan and the
-    indexed path.
-    """
-    deg_u = query.degree(u)
-    index = data.cached_index
-    if index is not None:
-        return index.candidates_with_min_degree(query.label(u), deg_u)
-    return [v for v in data.vertices_with_label(query.label(u)) if data.degree(v) >= deg_u]
+    """C_ini(u) = { v : L(v) = L(u) and deg(v) >= deg(u) } (paper §3),
+    in ascending vertex-id order."""
+    return data.index.candidates_with_min_degree(query.label(u), query.degree(u))
 
 
 def initial_candidate_count(query: Graph, data: Graph, u: int) -> int:
     """|C_ini(u)| without materializing the list (root selection, §3)."""
-    deg_u = query.degree(u)
-    index = data.cached_index
-    if index is not None:
-        return index.count_with_min_degree(query.label(u), deg_u)
-    return sum(1 for v in data.vertices_with_label(query.label(u)) if data.degree(v) >= deg_u)
+    return data.index.count_with_min_degree(query.label(u), query.degree(u))
 
 
 def passes_max_neighbor_degree(query: Graph, data: Graph, u: int, v: int) -> bool:
@@ -47,9 +35,7 @@ def passes_max_neighbor_degree(query: Graph, data: Graph, u: int, v: int) -> boo
     If u has a neighbor of degree d, every embedding must map that neighbor
     to a data vertex of degree >= d adjacent to v.
     """
-    index = data.cached_index
-    data_mnd = index.max_neighbor_degree(v) if index is not None else data.max_neighbor_degree(v)
-    return data_mnd >= query.max_neighbor_degree(u)
+    return data.index.max_neighbor_degree(v) >= query.max_neighbor_degree(u)
 
 
 def passes_neighborhood_label_frequency(query: Graph, data: Graph, u: int, v: int) -> bool:
@@ -58,47 +44,33 @@ def passes_neighborhood_label_frequency(query: Graph, data: Graph, u: int, v: in
     For every label l, v needs at least as many neighbors with label l as
     u has — otherwise some neighbor of u has nowhere to go.
     """
-    index = data.cached_index
-    data_counts = (
-        index.neighbor_label_counts(v) if index is not None else data.neighbor_label_counts(v)
-    )
-    for label, needed in query.neighbor_label_counts(u).items():
-        if data_counts.get(label, 0) < needed:
-            return False
-    return True
+    return passes_local_filters_hoisted(data.index, v, 0, query.neighbor_label_counts(u))
 
 
 def passes_local_filters(query: Graph, data: Graph, u: int, v: int) -> bool:
     """MND and NLF combined (applied in the first refinement step, §4)."""
-    return passes_max_neighbor_degree(query, data, u, v) and passes_neighborhood_label_frequency(
-        query, data, u, v
+    return passes_local_filters_hoisted(
+        data.index, v, query.max_neighbor_degree(u), query.neighbor_label_counts(u)
     )
 
 
 def passes_local_filters_hoisted(
-    data: Graph,
+    index: GraphIndex,
     v: int,
     query_mnd: int,
     query_nlf: dict[Label, int],
 ) -> bool:
-    """MND + NLF against precomputed *query-side* signatures.
+    """MND + NLF of data vertex ``v`` against precomputed *query-side*
+    signatures.
 
     The refinement pass evaluates the local filters for every candidate
-    ``v`` of one query vertex ``u``; recomputing u's max-neighbor degree
-    and label multiset per (u, v) pair is pure waste.  Callers hoist the
-    query side once per u and pass it here; the data side still uses the
-    index when present.  Result is identical to
-    :func:`passes_local_filters`.
+    ``v`` of one query vertex ``u``; callers hoist u's max-neighbor degree
+    and label multiset, and the data graph's index, out of that loop and
+    pass them here.  A ``query_mnd`` of 0 checks NLF alone.
     """
-    index = data.cached_index
-    if index is not None:
-        if index.max_neighbor_degree(v) < query_mnd:
-            return False
-        data_counts = index.neighbor_label_counts(v)
-    else:
-        if data.max_neighbor_degree(v) < query_mnd:
-            return False
-        data_counts = data.neighbor_label_counts(v)
+    if index.max_neighbor_degree(v) < query_mnd:
+        return False
+    data_counts = index.neighbor_label_counts(v)
     for label, needed in query_nlf.items():
         if data_counts.get(label, 0) < needed:
             return False

@@ -6,13 +6,15 @@ arbitrary hashable values (strings in file formats, small ints in generated
 workloads).  A graph is built incrementally with :meth:`Graph.add_vertex`
 and :meth:`Graph.add_edge` and then *frozen*; freezing sorts the adjacency
 lists, builds the label index and makes the graph safe to share between
-matchers and worker processes.
+matchers and worker processes.  The filter statistics
+(:class:`~repro.graph.index.GraphIndex`) are derived from a frozen graph
+once, the first time a filter reads them.
 
 The representation is chosen for pure-Python matching speed:
 
 - per-vertex adjacency as a sorted ``tuple`` (cheap iteration, cache-friendly)
 - per-vertex adjacency ``frozenset`` (O(1) edge membership tests)
-- label index ``label -> tuple of vertices`` (initial candidate generation)
+- label index ``label -> tuple of vertices`` (label statistics)
 - degree array (filter checks without recomputation)
 """
 
@@ -222,32 +224,38 @@ class Graph:
     def neighbor_label_counts(self, v: int) -> dict[Label, int]:
         """Multiset of labels among v's neighbors (the NLF signature)."""
         self._require_frozen()
-        counts: dict[Label, int] = {}
-        for w in self._adj[v]:
-            lab = self._labels[w]
-            counts[lab] = counts.get(lab, 0) + 1
-        return counts
+        return self._neighbor_stats(v)[0]
 
     def max_neighbor_degree(self, v: int) -> int:
         """Largest degree among v's neighbors (0 for isolated v)."""
         self._require_frozen()
-        if not self._adj[v]:
-            return 0
-        return max(self._degrees[w] for w in self._adj[v])
+        return self._neighbor_stats(v)[1]
+
+    def _neighbor_stats(self, v: int) -> tuple[dict[Label, int], int]:
+        """NLF signature and max-neighbor degree of ``v`` in one pass over
+        its neighbors; the :class:`GraphIndex` build and refresh use it too."""
+        labels, degrees = self._labels, self._degrees
+        counts: dict[Label, int] = {}
+        best = 0
+        for w in self._adj[v]:
+            lab = labels[w]
+            counts[lab] = counts.get(lab, 0) + 1
+            if degrees[w] > best:
+                best = degrees[w]
+        return counts, best
 
     # ------------------------------------------------------------------
-    # Serving-layer index
+    # Filter index
     # ------------------------------------------------------------------
     def ensure_index(self):
         """Build (once) and return this graph's :class:`GraphIndex`.
 
-        The index precomputes degree-sorted label buckets, NLF signatures
-        and max-neighbor degrees so the C_ini/MND/NLF filters become
-        lookups instead of scans.  It is *not* built automatically on
-        freeze — a one-shot ``match()`` would pay more for the build than
-        the lookups save — but ``repro.service.DataGraphSession`` calls
-        this on its data graph and every filter fast path then engages
-        via :attr:`cached_index`.
+        The index holds the degree-sorted label buckets, NLF signatures
+        and max-neighbor degrees that the C_ini/MND/NLF filters in
+        ``repro.core.filters`` read.  Every frozen graph has one: it is
+        built on first use (see :attr:`index`), and
+        ``repro.service.DataGraphSession`` calls this eagerly so the build
+        lands in session set-up rather than in the first request.
         """
         self._require_frozen()
         if self._index is None:
@@ -255,6 +263,15 @@ class Graph:
 
             self._index = GraphIndex(self)
         return self._index
+
+    @property
+    def index(self):
+        """This graph's :class:`GraphIndex`, built by :meth:`ensure_index`
+        the first time it is read."""
+        index = self._index
+        if index is None:
+            index = self.ensure_index()
+        return index
 
     def adopt_index(self, index) -> None:
         """Attach a pre-built :class:`GraphIndex` to this frozen graph.
@@ -266,16 +283,9 @@ class Graph:
         graph; an index for a different vertex count is rejected.
         """
         self._require_frozen()
-        if index is not None and len(index._nlf) != self.num_vertices:
+        if len(index._nlf) != self.num_vertices:
             raise GraphError("index does not describe this graph (vertex count differs)")
         self._index = index
-
-    @property
-    def cached_index(self):
-        """The built :class:`GraphIndex`, or ``None`` if ``ensure_index``
-        was never called.  Filter fast paths check this and fall back to
-        the per-call scans when absent."""
-        return self._index if self._frozen else None
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -351,4 +361,4 @@ class Graph:
 
     def __hash__(self) -> int:
         self._require_frozen()
-        return hash((tuple(self._labels), self._adj and tuple(self._adj)))
+        return hash((tuple(self._labels), tuple(self._adj)))

@@ -1,29 +1,26 @@
-"""Reusable data-graph indexes for the serving layer.
+"""The data-side statistics behind the candidate filters.
 
-Every ``match()`` call re-derives the same data-graph statistics: the
-label+degree scan behind C_ini (paper §3), the per-vertex neighbor-label
-multiset behind the NLF filter, and the max-neighbor-degree behind MND
-(§4, "Optimizing CS").  For a single ad-hoc query that is the right
-trade-off — the scan is linear and building anything fancier costs more
-than it saves.  A *serving* workload inverts the economics: one data
-graph answers thousands of queries, so `repro.service.DataGraphSession`
-builds a :class:`GraphIndex` once and every subsequent filter evaluation
-becomes a bucket lookup.
+C_ini (paper §3) needs the vertices of one label with at least a given
+degree; the local filters (§4, "Optimizing CS") need each vertex's
+neighbor-label multiset (NLF) and its largest neighbor degree (MND).  A
+:class:`GraphIndex` holds all three for one frozen :class:`Graph`, so
+every filter check in ``repro.core.filters`` is a bucket lookup or an
+array read.
 
-The index is attached to the graph itself (``Graph.ensure_index()``)
-rather than passed around, so the fast paths in ``repro.core.filters``
-and ``repro.core.candidate_space`` light up transparently for every
-consumer — DAF preprocessing, all baseline filters, and forked parallel
-workers (which inherit the built index copy-on-write).
+Every frozen graph has exactly one index, built the first time a filter
+reads ``graph.index`` (or eagerly by ``Graph.ensure_index()``, which
+``repro.service.DataGraphSession`` calls during set-up) and shared from
+then on by DAF preprocessing, the baseline filters and forked parallel
+workers (which inherit it copy-on-write).  After a delta batch
+:func:`refresh_index` derives the new graph's index from the old one.
 
 Contents, per frozen graph:
 
 - **degree-sorted label buckets**: for each label, the vertices carrying
   it sorted by ``(degree, id)`` plus the parallel degree array, so
-  ``C_ini(u)`` = a ``bisect`` + slice instead of a filtered scan and
-  ``|C_ini(u)|`` (root selection) is O(log n);
-- **NLF signatures**: ``neighbor_label_counts(v)`` precomputed for every
-  vertex (the per-call version builds a fresh dict per invocation);
+  ``C_ini(u)`` = a ``bisect`` + slice and ``|C_ini(u)|`` (root
+  selection) is O(log n);
+- **NLF signatures**: ``neighbor_label_counts(v)`` for every vertex;
 - **MND array**: ``max_neighbor_degree(v)`` for every vertex.
 """
 
@@ -37,6 +34,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import Graph, Label
 
 
+def _label_bucket(graph: "Graph", label: "Label") -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The vertices carrying ``label`` sorted by ``(degree, id)``, and
+    their degrees."""
+    degrees = graph.degrees
+    verts = sorted(graph.vertices_with_label(label), key=lambda v: (degrees[v], v))
+    return tuple(verts), tuple(degrees[v] for v in verts)
+
+
 class GraphIndex:
     """Immutable derived statistics of one frozen :class:`Graph`.
 
@@ -44,7 +49,8 @@ class GraphIndex:
     dictionary lookup, a bisect, or an array read.  The returned
     containers are shared, not copied — callers must treat them as
     read-only (the NLF dicts in particular are handed out by reference
-    on the hot filter path).
+    on the hot filter path).  Two indexes are equal when their buckets,
+    NLF signatures and MND arrays are.
     """
 
     __slots__ = ("_buckets", "_nlf", "_max_nbr_deg", "build_seconds")
@@ -52,31 +58,11 @@ class GraphIndex:
     def __init__(self, graph: "Graph") -> None:
         graph._require_frozen()
         start = time.perf_counter()
-        degrees = graph.degrees
-        labels = graph.labels
-
-        # Label buckets in first-seen vertex order (deterministic without
-        # requiring labels of mixed types to be sortable against each other).
-        seen: dict["Label", None] = {}
-        for lab in labels:
-            if lab not in seen:
-                seen[lab] = None
-        buckets: dict["Label", tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for lab in seen:
-            verts = sorted(graph.vertices_with_label(lab), key=lambda v: (degrees[v], v))
-            buckets[lab] = (tuple(verts), tuple(degrees[v] for v in verts))
-        self._buckets = buckets
-
+        self._buckets = {lab: _label_bucket(graph, lab) for lab in dict.fromkeys(graph.labels)}
         nlf: list[dict["Label", int]] = []
         max_nbr_deg: list[int] = []
         for v in graph.vertices():
-            counts: dict["Label", int] = {}
-            best = 0
-            for w in graph.neighbors(v):
-                lab = labels[w]
-                counts[lab] = counts.get(lab, 0) + 1
-                if degrees[w] > best:
-                    best = degrees[w]
+            counts, best = graph._neighbor_stats(v)
             nlf.append(counts)
             max_nbr_deg.append(best)
         self._nlf = tuple(nlf)
@@ -88,7 +74,7 @@ class GraphIndex:
     # ------------------------------------------------------------------
     def candidates_with_min_degree(self, label: "Label", min_degree: int) -> list[int]:
         """``{ v : L(v) = label, deg(v) >= min_degree }`` in ascending
-        vertex-id order (the same order the unindexed scan produces)."""
+        vertex-id order."""
         bucket = self._buckets.get(label)
         if bucket is None:
             return []
@@ -111,6 +97,15 @@ class GraphIndex:
 
     def max_neighbor_degree(self, v: int) -> int:
         return self._max_nbr_deg[v]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GraphIndex):
+            return NotImplemented
+        return (
+            self._buckets == other._buckets
+            and self._nlf == other._nlf
+            and self._max_nbr_deg == other._max_nbr_deg
+        )
 
     def __repr__(self) -> str:
         return (
@@ -137,10 +132,9 @@ def refresh_index(
       graph neighborhoods (a vertex that lost a neighbor entirely is
       itself ``edge_touched``).
 
-    The result is content-identical to ``GraphIndex(new_graph)``.
+    The result equals ``GraphIndex(new_graph)``.
     """
     start = time.perf_counter()
-    degrees = new_graph.degrees
     labels = new_graph.labels
 
     dirty = footprint.dirty
@@ -151,16 +145,15 @@ def refresh_index(
             dirty_labels.add(old_graph.label(v))
 
     index = object.__new__(GraphIndex)
-    buckets: dict["Label", tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for lab in dict.fromkeys(labels):
-        if lab in dirty_labels or lab not in old_index._buckets:
-            verts = sorted(
-                new_graph.vertices_with_label(lab), key=lambda v: (degrees[v], v)
-            )
-            buckets[lab] = (tuple(verts), tuple(degrees[v] for v in verts))
-        else:
-            buckets[lab] = old_index._buckets[lab]
-    index._buckets = buckets
+    old_buckets = old_index._buckets
+    index._buckets = {
+        lab: (
+            _label_bucket(new_graph, lab)
+            if lab in dirty_labels or lab not in old_buckets
+            else old_buckets[lab]
+        )
+        for lab in dict.fromkeys(labels)
+    }
 
     recompute = set(dirty)
     for v in dirty:
@@ -172,15 +165,7 @@ def refresh_index(
         nlf.extend({} for _ in range(grown))
         max_nbr_deg.extend(0 for _ in range(grown))
     for v in recompute:
-        counts: dict["Label", int] = {}
-        best = 0
-        for w in new_graph.neighbors(v):
-            lab = labels[w]
-            counts[lab] = counts.get(lab, 0) + 1
-            if degrees[w] > best:
-                best = degrees[w]
-        nlf[v] = counts
-        max_nbr_deg[v] = best
+        nlf[v], max_nbr_deg[v] = new_graph._neighbor_stats(v)
     index._nlf = tuple(nlf)
     index._max_nbr_deg = tuple(max_nbr_deg)
     index.build_seconds = time.perf_counter() - start

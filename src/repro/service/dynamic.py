@@ -38,7 +38,7 @@ from ..core.cs_delta import cs_diff, dag_equivalent, refresh_candidate_space
 from ..core.dag import build_dag
 from ..core.matcher import DAFMatcher, PreparedQuery
 from ..graph.graph import Graph
-from ..graph.index import refresh_index
+from ..graph.index import GraphIndex, refresh_index
 from ..graph.mutate import DeltaFootprint, apply_update
 from ..interfaces import (
     MatchRequest,
@@ -391,11 +391,11 @@ def apply_batch(
     """Apply ``batch`` to ``session`` (its ``apply()``): new graph
     version, index refresh, cache rebase, subscription notification.
 
-    With ``cross_validate=True`` every refreshed cache entry's CS is
-    additionally compared against a cold rebuild on the new graph and a
-    mismatch raises :class:`UpdateError` — the acceptance check behind
-    the incremental path, also exposed as ``repro update
-    --cross-validate``.
+    With ``cross_validate=True`` the refreshed :class:`GraphIndex` and
+    every refreshed cache entry's CS are additionally compared against
+    cold rebuilds on the new graph and a mismatch raises
+    :class:`UpdateError` — the acceptance check behind the incremental
+    path, also exposed as ``repro update --cross-validate``.
     """
     if not isinstance(batch, UpdateBatch):
         batch = UpdateBatch(deltas=tuple(batch))
@@ -403,11 +403,9 @@ def apply_batch(
     old_data = session.data
     new_data, footprint = apply_update(old_data, batch)
 
-    old_index = old_data.cached_index
-    if old_index is not None:
-        new_data.adopt_index(refresh_index(old_data, old_index, new_data, footprint))
-    else:
-        new_data.ensure_index()
+    new_data.adopt_index(refresh_index(old_data, old_data.index, new_data, footprint))
+    if cross_validate and new_data.index != GraphIndex(new_data):
+        raise UpdateError("incremental GraphIndex diverged from cold rebuild")
 
     new_version = session._graph_version + 1
     matcher = session.matcher

@@ -3,20 +3,19 @@
 A :class:`DataGraphSession` amortizes everything that is per-*data-graph*
 rather than per-query:
 
-- the graph is frozen once and its :class:`repro.graph.GraphIndex` is
-  materialized eagerly (degree-sorted label buckets, NLF signatures,
-  max-neighbor degrees), so the C_ini and MND/NLF filters inside
-  BuildDAG/BuildCS — and the baselines' candidate filters — become index
-  lookups instead of per-call scans;
+- the graph is frozen once and its :class:`repro.graph.GraphIndex`
+  (degree-sorted label buckets, NLF signatures, max-neighbor degrees) is
+  built during set-up; every frozen graph builds its index once, on
+  first use, so this only moves the build out of the first request;
 - prepared queries (DAG + CS) are retained in a
   :class:`~repro.service.PreparedQueryCache` keyed by WL canonical hash,
   so a repeated or isomorphic query skips BuildDAG + BuildCS entirely
   and goes straight to Backtrack.
 
-Results are bit-identical to the sessionless path: the index fast paths
-compute exactly the same candidate sets in the same order, and a cache
-hit replays the search over the identical prepared structure (embeddings
-of an isomorphic-but-relabeled probe are translated through the verified
+Results are bit-identical to the sessionless path: both run the same
+filter code over the same index, and a cache hit replays the search
+over the identical prepared structure (embeddings of an
+isomorphic-but-relabeled probe are translated through the verified
 vertex bijection, which preserves the embedding *set*).
 """
 
@@ -54,12 +53,13 @@ class DataGraphSession:
     ----------
     data:
         The data graph to serve queries against.  Frozen on entry (if not
-        already) and indexed once via :meth:`repro.graph.Graph.ensure_index`.
+        already) and its index built up front via
+        :meth:`repro.graph.Graph.ensure_index`.
     matcher:
         Default matcher for :meth:`run`; a :class:`DAFMatcher` (whose
         ``prepare``/``search`` split is what the cache retains) unless
-        overridden.  Non-DAF matchers still benefit from the shared graph
-        index but bypass the prepared cache.
+        overridden.  Non-DAF matchers share the graph index but bypass
+        the prepared cache.
     cache_size:
         Prepared-query LRU capacity (entries, not buckets).
     observer:

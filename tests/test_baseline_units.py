@@ -16,11 +16,7 @@ from repro.baselines.generic import (
     greedy_candidate_order,
     ordered_backtrack,
 )
-from repro.baselines.graphql import (
-    _has_semi_perfect_matching,
-    profile_dominates,
-    pseudo_iso_refine,
-)
+from repro.baselines.graphql import _has_semi_perfect_matching, pseudo_iso_refine
 from repro.baselines.quicksi import edge_label_frequencies, qi_sequence
 from repro.baselines.spath import distance_label_signature, signature_dominates
 from repro.baselines.turboiso import (
@@ -29,6 +25,7 @@ from repro.baselines.turboiso import (
     path_order,
 )
 from repro.baselines.ullmann import ullmann_refine
+from repro.core.filters import passes_neighborhood_label_frequency
 from repro.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from repro.interfaces import Deadline
 
@@ -116,10 +113,11 @@ class TestQuickSI:
 
 class TestGraphQL:
     def test_profile_dominates(self):
+        # GraphQL's profile filter is the NLF dominance check.
         query = star_graph("C", ["L", "L"])
         data = star_graph("C", ["L", "L", "L"])
-        assert profile_dominates(query, data, 0, 0)
-        assert not profile_dominates(data, query, 0, 0)
+        assert passes_neighborhood_label_frequency(query, data, 0, 0)
+        assert not passes_neighborhood_label_frequency(data, query, 0, 0)
 
     def test_semi_perfect_matching(self):
         assert _has_semi_perfect_matching([1, 2], {1: [10, 11], 2: [10]})

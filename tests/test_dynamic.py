@@ -123,11 +123,11 @@ class TestApplyUpdate:
 # Incremental structures == cold rebuilds
 # ----------------------------------------------------------------------
 def assert_index_identical(graph: Graph) -> None:
-    incremental = graph.cached_index
-    cold = GraphIndex(graph)
-    assert incremental._buckets == cold._buckets
-    assert incremental._nlf == cold._nlf
-    assert incremental._max_nbr_deg == cold._max_nbr_deg
+    # Read the attached index without building one: a missing refresh
+    # must fail here, not be papered over by a cold build.
+    incremental = graph._index
+    assert incremental is not None
+    assert incremental == GraphIndex(graph)
 
 
 def random_batch(rng: random.Random, graph: Graph, size: int) -> UpdateBatch:
@@ -173,6 +173,27 @@ class TestIncrementalIndex:
             for _ in range(3):
                 session.apply(random_batch(rng, session.data, rng.randint(1, 5)))
                 assert_index_identical(session.data)
+
+    def test_cross_validate_catches_stale_index_entry(self, monkeypatch):
+        import repro.service.dynamic as dynamic
+
+        real_refresh = dynamic.refresh_index
+
+        def refresh_with_stale_nlf(*args):
+            index = real_refresh(*args)
+            nlf = list(index._nlf)
+            nlf[1] = {**nlf[1], "B": 7}
+            index._nlf = tuple(nlf)
+            return index
+
+        monkeypatch.setattr(dynamic, "refresh_index", refresh_with_stale_nlf)
+        session = simple_session()
+        session.run(MatchRequest(EDGE_QUERY))
+        before = session.data
+        with pytest.raises(UpdateError, match="GraphIndex"):
+            session.apply(UpdateBatch((Delta.insert_edge(0, 2),)), cross_validate=True)
+        assert session.data is before
+        assert session.graph_version == 0
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,25 @@ class TestLabelIndex:
         isolated = Graph(labels=["X"], edges=[])
         assert isolated.max_neighbor_degree(0) == 0
 
+    def test_index_is_built_once_on_first_read(self, monkeypatch, square_data):
+        builds = []
+        real_ensure = Graph.ensure_index
+
+        def counting_ensure(graph):
+            builds.append(graph)
+            return real_ensure(graph)
+
+        monkeypatch.setattr(Graph, "ensure_index", counting_ensure)
+        first = square_data.index
+        assert square_data.index is first
+        assert len(builds) == 1 and builds[0] is square_data
+
+    def test_index_requires_freeze(self):
+        g = Graph()
+        g.add_vertex("A")
+        with pytest.raises(GraphError):
+            g.index
+
 
 class TestDerivedGraphs:
     def test_induced_subgraph_keeps_internal_edges(self, square_data):
@@ -177,6 +196,9 @@ class TestEquality:
         b = Graph(labels=["A", "B"], edges=[(1, 0)])
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_empty_graphs_hash(self):
+        assert hash(Graph(labels=[])) == hash(Graph().freeze())
 
     def test_label_difference_breaks_equality(self):
         a = Graph(labels=["A", "B"], edges=[(0, 1)])

@@ -7,6 +7,7 @@ properties are the paper's theorems and the library's contracts:
 - failing-set pruning preserves the result set and never adds work;
 - the weight array equals the min over maximal tree-like paths (§5.2);
 - query DAGs are acyclic, single-rooted, and edge-complete;
+- the C_ini, MND and NLF filters equal their §3/§4 definitions;
 - file I/O round-trips; induced subgraphs keep exactly internal edges;
 - SE compression round-trips embeddings.
 """
@@ -14,13 +15,24 @@ properties are the paper's theorems and the library's contracts:
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DAFMatcher, MatchConfig, is_embedding
 from repro.baselines import BruteForceMatcher
-from repro.core import build_candidate_space, build_dag, compute_weight_array, count_paths_from
+from repro.core import (
+    build_candidate_space,
+    build_dag,
+    compute_weight_array,
+    count_paths_from,
+    initial_candidate_count,
+    initial_candidates,
+    passes_local_filters,
+    passes_max_neighbor_degree,
+    passes_neighborhood_label_frequency,
+)
 from repro.graph import Graph, graph_from_string, graph_to_string, is_connected
 
 # ---------------------------------------------------------------------
@@ -95,6 +107,35 @@ def test_degree_sum_is_twice_edges(g):
 def test_label_index_partitions_vertices(g):
     total = sum(g.label_frequency(label) for label in g.distinct_labels())
     assert total == g.num_vertices
+
+
+@COMMON
+@given(labeled_graphs(max_vertices=5), labeled_graphs(min_vertices=0))
+def test_filters_match_definitions(query, data):
+    """Every data-side filter equals its definition computed straight
+    from ``label()``, ``degree()`` and ``neighbors()``."""
+
+    def mnd(g, x):
+        return max((g.degree(w) for w in g.neighbors(x)), default=0)
+
+    def nlf(g, x):
+        return Counter(g.label(w) for w in g.neighbors(x))
+
+    for u in query.vertices():
+        c_ini = [
+            v
+            for v in data.vertices()
+            if data.label(v) == query.label(u) and data.degree(v) >= query.degree(u)
+        ]
+        assert initial_candidates(query, data, u) == c_ini
+        assert initial_candidate_count(query, data, u) == len(c_ini)
+        for v in data.vertices():
+            mnd_ok = mnd(data, v) >= mnd(query, u)
+            data_nlf = nlf(data, v)
+            nlf_ok = all(data_nlf[lab] >= k for lab, k in nlf(query, u).items())
+            assert passes_max_neighbor_degree(query, data, u, v) == mnd_ok
+            assert passes_neighborhood_label_frequency(query, data, u, v) == nlf_ok
+            assert passes_local_filters(query, data, u, v) == (mnd_ok and nlf_ok)
 
 
 @COMMON
