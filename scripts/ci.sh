@@ -5,8 +5,8 @@
 #
 # Usage: scripts/ci.sh            (from the repository root)
 #   TIER1_TIMEOUT / FAULTS_TIMEOUT / OBS_TIMEOUT / BENCH_TIMEOUT /
-#   LINT_TIMEOUT / CHAOS_TIMEOUT / PERF_TESTS_TIMEOUT override the caps
-#   (seconds).
+#   LINT_TIMEOUT / CHAOS_TIMEOUT / PERF_TESTS_TIMEOUT / YAGO_REFINE_TIMEOUT
+#   override the caps (seconds).
 
 set -eu
 
@@ -20,6 +20,7 @@ BENCH_TIMEOUT="${BENCH_TIMEOUT:-600}"
 LINT_TIMEOUT="${LINT_TIMEOUT:-120}"
 CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-300}"
 PERF_TESTS_TIMEOUT="${PERF_TESTS_TIMEOUT:-180}"
+YAGO_REFINE_TIMEOUT="${YAGO_REFINE_TIMEOUT:-300}"
 
 echo "==> static analysis (cap: ${LINT_TIMEOUT}s)"
 # AST invariant checkers (docs/static-analysis.md): schema drift,
@@ -221,6 +222,21 @@ timeout --kill-after=30 "$OBS_TIMEOUT" sh -ec "
         '$OBS_TMP/explain.json' --gate \
         | grep -q '0 per-vertex difference(s), 0 regression(s)'
 "
+
+echo "==> refinement on yago vs an independent engine (cap: ${YAGO_REFINE_TIMEOUT}s)"
+# The perf self-tests check refinement only on tiny instances.  One short
+# yago_refine run builds a candidate space for each of its 64 queries on
+# the largest benchmark graph and checks every count against CFL-Match's
+# (perf/expected/); the last stdout line must report no wrong answer and
+# no failed operation.
+timeout --kill-after=30 "$YAGO_REFINE_TIMEOUT" \
+    python3 -m perf.run --workload yago_refine --seconds 1 > "$OBS_TMP/yago.txt"
+tail -n 1 "$OBS_TMP/yago.txt" | python -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+assert result["correct"] is True, result
+assert result["failed"] == 0, result
+'
 
 echo "==> perf gate: smoke bench vs BENCH_0.json (cap: ${BENCH_TIMEOUT}s)"
 # Re-run the smoke-profile benchmark, write a fresh manifest, validate

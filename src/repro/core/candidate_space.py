@@ -17,7 +17,11 @@ Construction (``build_candidate_space``):
    the local MND/NLF filters.  One DP pass over direction ``q'`` keeps
    ``v in C(u)`` only if every child ``u_c`` of ``u`` in ``q'`` has some
    candidate adjacent to ``v`` — i.e. only if a weak embedding of the
-   sub-DAG ``q'_u`` exists at ``v`` (Recurrence (1)).
+   sub-DAG ``q'_u`` exists at ``v`` (Recurrence (1)).  A pass tests only
+   the members of ``C(u)`` that border some candidate of the child with
+   the smallest candidate set — on the first pass over ``q_D^{-1}`` this
+   is CFL-Match's top-down generation — and generates that neighbourhood
+   only when the child's set is smaller than the set it would narrow.
 3. Materialize CS edges as per-DAG-edge adjacency lists
    ``N^u_{u_c}(v)`` storing candidate *indices*, which is what the
    backtracking engine intersects to compute extendable candidates.
@@ -170,10 +174,19 @@ def _refine_pass(
     so every child's refined set C'(u_c) is final before u is visited
     (the bottom-up evaluation of Recurrence (1)).
 
+    The tested set is generated, not filtered: a survivor borders some
+    candidate of every child, so it lies in ``N(C(u*))`` for the child
+    ``u*`` with the smallest candidate set.  When ``|C(u*)|`` is below
+    the size of the set to test, the pass builds that neighbourhood and
+    tests only its intersection with the set (CFL-Match's top-down
+    candidate generation applied to every pass); otherwise it tests the
+    set as is.  Either way the output is the same.
+
     With an ``observer``, rejections are attributed per reason: local
     MND/NLF failures count as ``prune_label_degree``; DP failures (no
-    CS edge to some child's candidate set — Recurrence (1)) count as
-    ``prune_cs_edge``.
+    CS edge to some child's candidate set — Recurrence (1)), including
+    the candidates outside ``N(C(u*))`` dropped before any test, count
+    as ``prune_cs_edge``.
 
     ``replay`` re-runs a recorded pass against a mutated data graph:
     ``(recorded_in, recorded_out, dirty, local_dirty)`` holds this pass's
@@ -182,7 +195,8 @@ def _refine_pass(
     signature may have moved).  A candidate that was in the recorded
     input, is not stale, and borders no child candidate that flipped in
     this pass sees exactly the recorded pass's neighbourhood and child
-    sets, so it copies its recorded outcome; only the rest are tested.
+    sets, so it copies its recorded outcome; only the rest, narrowed to
+    ``N(C(u*))`` by the same rule, are tested.
     """
     changed = False
     if replay is not None:
@@ -214,6 +228,17 @@ def _refine_pass(
                     copied.difference_update(data.neighbors(w))
             survivors = copied & recorded_out[u]
             pool = cand[u] - copied
+        if children:
+            # Every survivor borders a candidate of each child, so only
+            # N(C(u*)) for the smallest child set u* can survive.  Build
+            # that reach only when C(u*) is smaller than the pool.
+            smallest = min((cand[u_c] for u_c in children), key=len)
+            if len(smallest) < len(pool):
+                reach = set().union(*map(data.neighbor_set, smallest))
+                tested = pool & reach
+                if observer is not None:
+                    observer.prune_cs_edge += len(pool) - len(tested)
+                pool = tested
         for v in pool:
             if apply_local_filters and not passes_local_filters_hoisted(
                 index, v, query_mnd, query_nlf
@@ -221,23 +246,14 @@ def _refine_pass(
                 if observer is not None:
                     observer.prune_label_degree += 1
                 continue
-            ok = True
             v_neighbors = data.neighbor_set(v)
             for u_c in children:
-                child_cand = cand[u_c]
-                # Iterate the smaller side of the adjacency/candidate pair.
-                if len(child_cand) <= len(v_neighbors):
-                    if child_cand.isdisjoint(v_neighbors):
-                        ok = False
-                        break
-                else:
-                    if not any(w in child_cand for w in v_neighbors):
-                        ok = False
-                        break
-            if ok:
+                if cand[u_c].isdisjoint(v_neighbors):
+                    if observer is not None:
+                        observer.prune_cs_edge += 1
+                    break
+            else:
                 survivors.add(v)
-            elif observer is not None:
-                observer.prune_cs_edge += 1
         if replay is not None:
             flipped[u] = survivors ^ recorded_out[u]
         if len(survivors) != len(cand[u]):

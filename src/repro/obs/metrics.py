@@ -26,9 +26,11 @@ prune_label_degree      candidates rejected by label/degree filters — C_ini an
                         their own candidate-pool filters at search time
 prune_cs_edge           candidates rejected for lacking a required edge: DP
                         refinement removals during CS construction (Recurrence
-                        (1)); for baselines, backward-edge probes of the data
-                        graph that failed (DAF never pays these at search time —
-                        Theorem 4.1)
+                        (1)), including candidates outside N(C(u*)) that a
+                        pass drops untested (u* the child with the smallest
+                        candidate set); for baselines, backward-edge probes of
+                        the data graph that failed (DAF never pays these at
+                        search time — Theorem 4.1)
 prune_conflict          conflict-class leaves: the candidate was already used by
                         another query vertex (injectivity), incl. induced-mode
                         non-edge violations

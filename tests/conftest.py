@@ -80,5 +80,22 @@ def random_graph_case(rng: random.Random, max_vertices: int = 16, max_query: int
 
 
 @pytest.fixture
+def local_filter_calls(monkeypatch) -> list[int]:
+    """The data vertex of every MND/NLF test a refinement pass runs, in
+    call order."""
+    from repro.core import candidate_space
+
+    calls: list[int] = []
+    real = candidate_space.passes_local_filters_hoisted
+
+    def counting(index, v, query_mnd, query_nlf):
+        calls.append(v)
+        return real(index, v, query_mnd, query_nlf)
+
+    monkeypatch.setattr(candidate_space, "passes_local_filters_hoisted", counting)
+    return calls
+
+
+@pytest.fixture
 def rng() -> random.Random:
     return random.Random(20190630)  # SIGMOD'19 started June 30

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro import DAFMatcher, MatchConfig, MatchRequest
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.baselines import BruteForceMatcher
 from repro.core import build_candidate_space, build_dag, has_weak_embedding
 from repro.graph import Graph
@@ -152,6 +152,71 @@ class TestCartesianTrap:
                     assert has_weak_embedding(cs, dag.reverse(), u, v)
 
 
+def star_with_one_gate():
+    """Star query A(B, C) on data where the only B vertex borders three of
+    forty A vertices: B is the DAG root with one candidate, and A's label
+    bucket is large."""
+    query = Graph(labels=["A", "B", "C"], edges=[(0, 1), (0, 2)])
+    # 0 = the B vertex, 1..40 = A vertices, 41..81 = C vertices.
+    labels = ["B"] + ["A"] * 40 + ["C"] * 41
+    edges = [(0, 1), (0, 2), (0, 3)]
+    edges += [(a, 40 + a) for a in range(1, 41)]
+    edges += [(a, 41 + a) for a in range(1, 41)]
+    return query, Graph(labels=labels, edges=edges), 0
+
+
+def path_with_equal_pools():
+    """Path query X-Y-Z where C(Y) after the first pass is as large as
+    Z's bucket, so generation declines, and one Z vertex (9) lies outside
+    N(C(Y))."""
+    query = Graph(labels=["X", "Y", "Z"], edges=[(0, 1), (1, 2)])
+    # 0 = x, 1..6 = Y vertices, 7..9 = Z vertices.
+    labels = ["X"] + ["Y"] * 6 + ["Z"] * 3
+    edges = [(0, 1), (0, 2), (0, 3), (1, 7), (2, 7), (3, 8)]
+    edges += [(4, 9), (5, 9), (6, 9), (4, 5), (5, 6)]
+    return query, Graph(labels=labels, edges=edges)
+
+
+def assert_matches_oracle(query, data):
+    request = MatchRequest(query, data, MatchOptions(limit=10**6))
+    expected = sorted(BruteForceMatcher().match(request).embeddings)
+    assert expected
+    assert sorted(DAFMatcher().match(request).embeddings) == expected
+
+
+class TestCandidateGeneration:
+    """A pass tests only ``C(u) & N(C(u*))`` for the smallest child set
+    ``u*``, and only when ``|C(u*)|`` is below the set it narrows."""
+
+    def test_generation_tests_only_the_gate_neighbourhood(self, local_filter_calls):
+        query, data, gate = star_with_one_gate()
+        cs = build_cs(query, data)
+        tested_a = [v for v in local_filter_calls if data.label(v) == "A"]
+        assert len(tested_a) <= data.degree(gate) < len(data.vertices_with_label("A"))
+        assert cs.candidates[0] == [1, 2, 3]
+        assert_matches_oracle(query, data)
+
+    def test_cost_rule_declines_when_child_set_is_not_smaller(self, local_filter_calls):
+        query, data = path_with_equal_pools()
+        cs = build_cs(query, data)
+        assert cs.dag.root == 0
+        tested_z = [v for v in local_filter_calls if data.label(v) == "Z"]
+        # |C(Y)| == |C_ini(Z)| == 3: Z's whole bucket is tested, including
+        # vertex 9, which generation would have dropped untested.
+        assert sorted(tested_z) == [7, 8, 9]
+        assert cs.candidates[2] == [7, 8]
+        assert_matches_oracle(query, data)
+
+    def test_dropped_candidates_count_as_cs_edge_prunes(self):
+        query, data, _ = star_with_one_gate()
+        observer = MetricsRegistry()
+        build_cs(query, data, observer=observer)
+        # Pass 1 drops the 37 A vertices and 37 C vertices outside the
+        # generated pools; the DP and MND/NLF reject nothing else.
+        assert observer.prune_cs_edge == 37 + 37
+        assert observer.prune_label_degree == 0
+
+
 class TestStructure:
     def test_size_is_total_candidates(self, triangle_data, edge_query):
         cs = build_cs(edge_query, triangle_data)
@@ -183,7 +248,11 @@ class TestStructure:
 # adjacency, the pass count, and the two refinement prune counters.  The
 # values were recorded before incremental refresh was folded into
 # BuildCS's pass loop, so any drift in refinement, edge materialization or
-# prune accounting fails here.
+# prune accounting fails here.  The split of the three configs that run
+# local filters was re-recorded when the DP pass began testing only the
+# smallest child's neighbourhood: a candidate outside it now counts as
+# ``prune_cs_edge`` before MND/NLF can reject it (``GOLDEN_CS_INVARIANT``
+# holds the totals fixed).
 
 GOLDEN_CS_CONFIGS = {
     "default": MatchConfig(),
@@ -194,15 +263,30 @@ GOLDEN_CS_CONFIGS = {
 }
 
 GOLDEN_CS = {
-    "default": "3ad67b1a0f1a3ef2",
-    "fixpoint": "d998eabf3dd822cd",
+    "default": "f7b0e32273eac4d5",
+    "fixpoint": "3bc9dec367bcde28",
     "homomorphism": "8ee1a8800e7599f4",
     "no-local-filters": "e033b6428903099f",
-    "one-step": "40106d6666244a4e",
+    "one-step": "51830c1599c0a8a5",
 }
 
 
-def _golden_cs_digest(config):
+#: The same corpus pinned on what refinement must never change: the
+#: candidate lists, ``down``, the pass count and the *total* of the two
+#: prune counters.  A change that only moves rejections from one reason
+#: to the other (say, a pass that generates its tested set instead of
+#: filtering the whole bucket) keeps these digests and re-records only
+#: ``GOLDEN_CS``.
+GOLDEN_CS_INVARIANT = {
+    "default": "8d18c28b790f8410",
+    "fixpoint": "def71ca191d7bd83",
+    "homomorphism": "5a98e783af0ff7a4",
+    "no-local-filters": "5afe309fdf0c6a24",
+    "one-step": "71b3b9250a3bb75d",
+}
+
+
+def _golden_cs_digest(config, split_prunes=True):
     rng = random.Random(20190630)
     digest = hashlib.sha256()
     for case in range(60):
@@ -211,13 +295,11 @@ def _golden_cs_digest(config):
             data.ensure_index()
         observer = MetricsRegistry()
         cs = DAFMatcher(config).prepare(query, data, observer=observer).cs
-        pinned = (
-            cs.candidates,
-            cs.down,
-            cs.refinement_steps,
-            observer.prune_label_degree,
-            observer.prune_cs_edge,
-        )
+        if split_prunes:
+            prunes = (observer.prune_label_degree, observer.prune_cs_edge)
+        else:
+            prunes = (observer.prune_label_degree + observer.prune_cs_edge,)
+        pinned = (cs.candidates, cs.down, cs.refinement_steps, *prunes)
         digest.update(repr(pinned).encode())
     return digest.hexdigest()[:16]
 
@@ -225,3 +307,9 @@ def _golden_cs_digest(config):
 @pytest.mark.parametrize("key", list(GOLDEN_CS_CONFIGS))
 def test_golden_candidate_space(key):
     assert _golden_cs_digest(GOLDEN_CS_CONFIGS[key]) == GOLDEN_CS[key]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_CS_CONFIGS))
+def test_golden_candidate_space_invariant(key):
+    digest = _golden_cs_digest(GOLDEN_CS_CONFIGS[key], split_prunes=False)
+    assert digest == GOLDEN_CS_INVARIANT[key]

@@ -243,6 +243,35 @@ class TestIncrementalCandidateSpace:
         assert cs_diff(refreshed, cold.cs) == []
 
 
+def test_replay_generates_pool_from_smallest_child(local_filter_calls):
+    """A batch at a hub makes every A vertex stale, so the replayed first
+    pass must re-test all of C(A); the pool is narrowed to N(C(B)) inside
+    replay, and the refresh still equals a cold build."""
+    query = Graph(labels=["A", "B", "C"], edges=[(0, 1), (0, 2)])
+    # 0 = the only B vertex, 1..20 = A vertices, 21 and 22 = C hubs
+    # adjacent to every A vertex, 23 = a spare C vertex.
+    labels = ["B"] + ["A"] * 20 + ["C"] * 3
+    edges = [(0, 1), (0, 2), (0, 3)]
+    edges += [(hub, a) for hub in (21, 22) for a in range(1, 21)]
+    data = Graph(labels=labels, edges=edges)
+    matcher = DAFMatcher()
+    prepared = matcher.prepare(query, data, keep_trail=True)
+    assert prepared.cs.dag.root == 1
+    new_data, footprint = apply_update(
+        data, UpdateBatch((Delta.insert_edge(21, 23), Delta.insert_edge(0, 4)))
+    )
+    stale_a = [v for v in footprint.local_dirty(new_data) if new_data.label(v) == "A"]
+    assert len(stale_a) == 20
+
+    local_filter_calls.clear()
+    refreshed = refresh_candidate_space(prepared.cs, new_data, footprint, MatchConfig())
+    tested_a = [v for v in local_filter_calls if new_data.label(v) == "A"]
+    assert len(tested_a) <= new_data.degree(0) < len(stale_a)
+    cold = matcher.prepare(query, new_data, keep_trail=True)
+    assert cs_diff(refreshed, cold.cs) == []
+    assert refreshed.candidates[0] == [1, 2, 3, 4]
+
+
 # ----------------------------------------------------------------------
 # Session surface: versioning, cache, subscriptions
 # ----------------------------------------------------------------------
