@@ -1253,8 +1253,9 @@ def build_parser() -> argparse.ArgumentParser:
     update_p.add_argument(
         "--cross-validate",
         action="store_true",
-        help="rebuild every refreshed candidate space from cold and fail "
-        "on any divergence from the incremental result",
+        help="rebuild the derived graph, its index and every refreshed "
+        "candidate space from cold and fail on any divergence from the "
+        "incremental result",
     )
     update_p.add_argument(
         "--cache-size",

@@ -8,7 +8,10 @@ and :meth:`Graph.add_edge` and then *frozen*; freezing sorts the adjacency
 lists, builds the label index and makes the graph safe to share between
 matchers and worker processes.  The filter statistics
 (:class:`~repro.graph.index.GraphIndex`) are derived from a frozen graph
-once, the first time a filter reads them.
+once, the first time a filter reads them.  Nothing a frozen graph holds
+is ever mutated, so :meth:`Graph._derive` (behind
+:func:`repro.graph.mutate.apply_update`) shares every untouched row, and
+an unchanged label index, between a graph and the versions derived from it.
 
 The representation is chosen for pure-Python matching speed:
 
@@ -127,12 +130,47 @@ class Graph:
         self._adj = [tuple(sorted(s)) for s in self._adj_sets]
         self._adj_sets = [frozenset(s) for s in self._adj_sets]  # type: ignore[misc]
         self._degrees = tuple(len(a) for a in self._adj)
+        self._index_labels()
+        self._frozen = True
+        return self
+
+    def _index_labels(self) -> None:
         index: dict[Label, list[int]] = {}
         for v, label in enumerate(self._labels):
             index.setdefault(label, []).append(v)
         self._label_index = {lab: tuple(vs) for lab, vs in index.items()}
-        self._frozen = True
-        return self
+
+    def _derive(self, labels: Mapping[int, Label], rows: Mapping[int, set[int]]) -> "Graph":
+        """A frozen copy of this graph with the vertices in ``labels``
+        relabeled (ids from :attr:`num_vertices` on append new vertices)
+        and the rows in ``rows`` replaced by the given neighbor sets, which
+        the caller keeps symmetric.  Every other row is shared with this
+        graph, and so is the label index when ``labels`` is empty; otherwise
+        the label index is rebuilt as :meth:`freeze` builds it.
+        """
+        self._require_frozen()
+        n = len(self._labels)
+        grow = max(labels, default=n - 1) + 1 - n
+        g = Graph()
+        g._labels = self._labels + [None] * grow
+        g._adj = self._adj + [()] * grow
+        g._adj_sets = self._adj_sets + [frozenset()] * grow  # type: ignore[operator]
+        degrees = list(self._degrees) + [0] * grow
+        for v, row in rows.items():
+            if v >= n or row != self._adj_sets[v]:
+                g._adj[v] = tuple(sorted(row))
+                g._adj_sets[v] = frozenset(row)  # type: ignore[call-overload]
+                degrees[v] = len(row)
+        g._degrees = tuple(degrees)
+        old_degree_sum = sum(self._degrees[v] for v in rows if v < n)
+        g._num_edges = self._num_edges + (sum(map(len, rows.values())) - old_degree_sum) // 2
+        g._label_index = self._label_index
+        if labels:
+            for v, label in labels.items():
+                g._labels[v] = label
+            g._index_labels()
+        g._frozen = True
+        return g
 
     @property
     def frozen(self) -> bool:

@@ -127,7 +127,9 @@ def refresh_index(
     - a label bucket is rebuilt iff some dirty vertex carries that label
       in the old or new graph (bucket contents depend only on the label's
       membership and its members' degrees, and a degree can only change
-      at an ``edge_touched`` vertex — whose label is then dirty);
+      at an ``edge_touched`` vertex — whose label is then dirty), and
+      dropped when the new graph no longer has the label; every other
+      bucket is carried over without visiting the graph's labels;
     - NLF/MND entries are recomputed for dirty vertices and their new-
       graph neighborhoods (a vertex that lost a neighbor entirely is
       itself ``edge_touched``).
@@ -135,25 +137,18 @@ def refresh_index(
     The result equals ``GraphIndex(new_graph)``.
     """
     start = time.perf_counter()
-    labels = new_graph.labels
-
     dirty = footprint.dirty
-    dirty_labels = {labels[v] for v in dirty}
     old_vertex_count = old_graph.num_vertices
-    for v in dirty:
-        if v < old_vertex_count:
-            dirty_labels.add(old_graph.label(v))
+    dirty_labels = {new_graph.label(v) for v in dirty}
+    dirty_labels.update(old_graph.label(v) for v in dirty if v < old_vertex_count)
 
     index = object.__new__(GraphIndex)
-    old_buckets = old_index._buckets
-    index._buckets = {
-        lab: (
-            _label_bucket(new_graph, lab)
-            if lab in dirty_labels or lab not in old_buckets
-            else old_buckets[lab]
-        )
-        for lab in dict.fromkeys(labels)
-    }
+    index._buckets = dict(old_index._buckets)
+    for lab in dirty_labels:
+        if new_graph.label_frequency(lab):
+            index._buckets[lab] = _label_bucket(new_graph, lab)
+        else:
+            index._buckets.pop(lab, None)
 
     recompute = set(dirty)
     for v in dirty:

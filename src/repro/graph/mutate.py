@@ -2,12 +2,14 @@
 
 :class:`Graph` is deliberately immutable once frozen — every matcher,
 cached prepared query, and forked worker shares it by reference.  Dynamic
-serving therefore mutates by *replacement*: :func:`apply_update` builds a
-fresh frozen graph from the old one plus a batch of deltas and reports the
+serving therefore mutates by *replacement*: :func:`apply_update` derives
+a new frozen graph from the old one plus a batch of deltas and reports the
 batch's :class:`DeltaFootprint` (which vertices could possibly have
-changed label, degree, adjacency, or local-filter signature).  The
-serving layer uses the footprint to refresh the :class:`GraphIndex` and
-every cached candidate space incrementally instead of rebuilding them.
+changed label, degree, adjacency, or local-filter signature).  The new
+graph shares every row the batch did not touch with the old one, so a
+batch costs in proportion to what it touches; the serving layer uses the
+footprint to refresh the :class:`GraphIndex` and every cached candidate
+space the same way instead of rebuilding them.
 
 Two representation rules keep downstream id-based structures stable:
 
@@ -16,9 +18,9 @@ Two representation rules keep downstream id-based structures stable:
   incident edges are dropped and the label becomes
   :data:`TOMBSTONE_LABEL`, a reserved sentinel no query may use, so the
   vertex can never re-enter any candidate set.
-- **Batches are atomic.**  Deltas are validated against a working copy in
-  order; any invalid delta raises :class:`repro.interfaces.UpdateError`
-  and the original graph is untouched.
+- **Batches are atomic.**  Deltas are validated in order against an
+  overlay of the touched rows; any invalid delta raises
+  :class:`repro.interfaces.UpdateError` and the original graph is untouched.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..interfaces import Delta, UpdateBatch, UpdateError
-from .graph import Graph
+from .graph import Graph, Label
 
 #: Reserved label given to deleted vertices.  Ordinary graphs must never
 #: use it: queries carrying it match nothing by construction, and
@@ -89,14 +91,15 @@ def apply_update(graph: Graph, batch: UpdateBatch) -> tuple[Graph, DeltaFootprin
     """Apply ``batch`` to frozen ``graph``; return the new frozen graph
     and the batch's :class:`DeltaFootprint`.
 
-    Deltas are validated and applied in order against a working copy, so
-    later deltas may reference vertices or edges created earlier in the
-    same batch.  Raises :class:`UpdateError` (naming the delta and its
-    position) on the first invalid delta, leaving ``graph`` untouched.
+    Deltas are validated and applied in order against an overlay of the
+    touched rows, so later deltas may reference vertices or edges created
+    earlier in the same batch.  Raises :class:`UpdateError` (naming the
+    delta and its position) on the first invalid delta, leaving ``graph``
+    untouched.  The result shares every untouched row with ``graph``.
     """
     graph._require_frozen()
-    labels = list(graph.labels)
-    adjacency = [set(graph.neighbor_set(v)) for v in graph.vertices()]
+    labels: dict[int, Label] = {}  # new and relabeled vertices
+    rows: dict[int, set[int]] = {}  # touched adjacency rows, in full
 
     edge_touched: set[int] = set()
     added: set[int] = set()
@@ -104,13 +107,16 @@ def apply_update(graph: Graph, batch: UpdateBatch) -> tuple[Graph, DeltaFootprin
     inserted_edges: set[tuple[int, int]] = set()
     deleted_edges: set[tuple[int, int]] = set()
 
+    def row(v: int) -> set[int]:
+        return rows[v] if v in rows else rows.setdefault(v, set(graph.neighbor_set(v)))
+
     def fail(position: int, delta: Delta, why: str) -> UpdateError:
         return UpdateError(f"deltas[{position}] ({delta.op}): {why}")
 
     def check_endpoint(position: int, delta: Delta, v: int) -> None:
-        if not 0 <= v < len(labels):
+        if not 0 <= v < graph.num_vertices + len(added):
             raise fail(position, delta, f"vertex {v} does not exist")
-        if labels[v] == TOMBSTONE_LABEL:
+        if (labels[v] if v in labels else graph.label(v)) == TOMBSTONE_LABEL:
             raise fail(position, delta, f"vertex {v} was deleted")
 
     for position, delta in enumerate(batch):
@@ -118,47 +124,39 @@ def apply_update(graph: Graph, batch: UpdateBatch) -> tuple[Graph, DeltaFootprin
             u, v = delta.u, delta.v
             check_endpoint(position, delta, u)
             check_endpoint(position, delta, v)
-            if v in adjacency[u]:
+            if v in row(u):
                 raise fail(position, delta, f"edge ({u}, {v}) already exists")
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+            row(u).add(v)
+            row(v).add(u)
             edge_touched.update((u, v))
             inserted_edges.add((u, v) if u < v else (v, u))
         elif delta.op == "delete-edge":
             u, v = delta.u, delta.v
             check_endpoint(position, delta, u)
             check_endpoint(position, delta, v)
-            if v not in adjacency[u]:
+            if v not in row(u):
                 raise fail(position, delta, f"edge ({u}, {v}) does not exist")
-            adjacency[u].discard(v)
-            adjacency[v].discard(u)
+            row(u).discard(v)
+            row(v).discard(u)
             edge_touched.update((u, v))
             deleted_edges.add((u, v) if u < v else (v, u))
         elif delta.op == "insert-vertex":
             if delta.label == TOMBSTONE_LABEL:
                 raise fail(position, delta, f"label {TOMBSTONE_LABEL!r} is reserved")
-            labels.append(delta.label)
-            adjacency.append(set())
-            added.add(len(labels) - 1)
+            v = graph.num_vertices + len(added)
+            labels[v] = delta.label
+            rows[v] = set()
+            added.add(v)
         else:  # delete-vertex
             u = delta.u
             check_endpoint(position, delta, u)
-            for w in sorted(adjacency[u]):
-                adjacency[w].discard(u)
+            for w in sorted(row(u)):
+                row(w).discard(u)
                 edge_touched.update((u, w))
                 deleted_edges.add((u, w) if u < w else (w, u))
-            adjacency[u].clear()
+            row(u).clear()
             labels[u] = TOMBSTONE_LABEL
             tombstoned.add(u)
-
-    new_graph = Graph()
-    for label in labels:
-        new_graph.add_vertex(label)
-    for u, neighbors in enumerate(adjacency):
-        for v in sorted(neighbors):
-            if u < v:
-                new_graph.add_edge(u, v)
-    new_graph.freeze()
 
     footprint = DeltaFootprint(
         edge_touched=frozenset(edge_touched),
@@ -167,4 +165,4 @@ def apply_update(graph: Graph, batch: UpdateBatch) -> tuple[Graph, DeltaFootprin
         inserted_edges=frozenset(inserted_edges),
         deleted_edges=frozenset(deleted_edges),
     )
-    return new_graph, footprint
+    return graph._derive(labels, rows), footprint

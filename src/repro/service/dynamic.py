@@ -5,7 +5,7 @@ This module is the serving-layer half of incremental maintenance.  A
 graph mutates:
 
 - :func:`apply_batch` turns an :class:`repro.interfaces.UpdateBatch`
-  into a new graph version — replacement graph via
+  into a new graph version — a graph derived from the old one by
   :func:`repro.graph.mutate.apply_update`, incremental
   :class:`~repro.graph.GraphIndex` refresh, and a
   :meth:`PreparedQueryCache.rebase` pass that refreshes each cached
@@ -385,15 +385,22 @@ def subscribe(session, request: MatchRequest) -> StandingQuery:
 # ----------------------------------------------------------------------
 # Batch application
 # ----------------------------------------------------------------------
+def _graph_state(graph: Graph) -> tuple:
+    """Everything a frozen graph answers, read through its accessors."""
+    rows = [(graph.neighbors(v), graph.neighbor_set(v)) for v in graph.vertices()]
+    labels = {lab: graph.vertices_with_label(lab) for lab in graph.distinct_labels()}
+    return graph.labels, graph.num_edges, graph.degrees, rows, labels
+
+
 def apply_batch(
     session, batch: UpdateBatch, cross_validate: bool = False
 ) -> UpdateResult:
     """Apply ``batch`` to ``session`` (its ``apply()``): new graph
     version, index refresh, cache rebase, subscription notification.
 
-    With ``cross_validate=True`` the refreshed :class:`GraphIndex` and
-    every refreshed cache entry's CS are additionally compared against
-    cold rebuilds on the new graph and a mismatch raises
+    With ``cross_validate=True`` the derived graph, the refreshed
+    :class:`GraphIndex` and every refreshed cache entry's CS are
+    additionally compared against cold rebuilds and a mismatch raises
     :class:`UpdateError` — the acceptance check behind the incremental
     path, also exposed as ``repro update --cross-validate``.
     """
@@ -402,6 +409,10 @@ def apply_batch(
     start = time.perf_counter()
     old_data = session.data
     new_data, footprint = apply_update(old_data, batch)
+    if cross_validate and _graph_state(new_data) != _graph_state(
+        Graph(labels=new_data.labels, edges=new_data.edges())
+    ):
+        raise UpdateError("derived graph diverged from cold rebuild")
 
     new_data.adopt_index(refresh_index(old_data, old_data.index, new_data, footprint))
     if cross_validate and new_data.index != GraphIndex(new_data):

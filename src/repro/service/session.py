@@ -199,14 +199,15 @@ class DataGraphSession:
         """Apply an :class:`~repro.interfaces.UpdateBatch` of graph deltas.
 
         Atomically replaces the session's data graph with the mutated
-        version, bumps :attr:`graph_version`, refreshes the graph index
+        version (derived from the old one, sharing its untouched rows),
+        bumps :attr:`graph_version`, refreshes the graph index
         and every cached prepared query incrementally (entries whose DAG
         the batch re-oriented are invalidated instead), and notifies all
         standing queries with the exact appeared/disappeared embedding
         difference.  Returns an :class:`repro.service.UpdateResult`.
 
-        ``cross_validate=True`` additionally rebuilds every refreshed CS
-        cold and raises :class:`~repro.interfaces.UpdateError` on any
+        ``cross_validate=True`` additionally rebuilds the new graph, its
+        index and every refreshed CS cold and raises :class:`~repro.interfaces.UpdateError` on any
         divergence — the incremental path's equivalence check.
 
         Checkpoints taken before a batch (``options.resume_from``) are

@@ -34,7 +34,7 @@ from repro.core.cs_delta import cs_diff, refresh_candidate_space
 from repro.graph import Graph, GraphIndex
 from repro.graph.mutate import TOMBSTONE_LABEL, apply_update
 from repro.resilience.faults import FaultSpec, InjectedFault, inject
-from repro.service import DataGraphSession, StandingQuery
+from repro.service import DataGraphSession, StandingQuery, dynamic
 
 from .conftest import random_graph_case
 
@@ -117,6 +117,120 @@ class TestApplyUpdate:
         for delta in (Delta.insert_edge(0, 2), Delta.delete_vertex(2)):
             with pytest.raises(UpdateError):
                 apply_update(gone, UpdateBatch((delta,)))
+
+    # A derived version shares every untouched row with its parent, so
+    # the tests below pin both halves of that: the result equals a cold
+    # rebuild, and no version ever sees another's changes.
+    def test_derived_graphs_equal_cold_rebuilds(self):
+        rng = random.Random(21)
+        for case in range(12):
+            _query, graph = random_graph_case(rng, max_vertices=20)
+            labels, edges = list(graph.labels), set(graph.edges())
+            for _ in range(6):
+                batch = mixed_batch(rng, labels, edges)
+                graph, _footprint = apply_update(graph, batch)
+                cold = Graph(labels=labels, edges=sorted(edges))
+                assert graph == cold
+                assert graph_state(graph) == graph_state(cold)
+
+    def test_parent_versions_never_change(self):
+        rng = random.Random(5)
+        _query, parent = random_graph_case(rng, max_vertices=20)
+        labels, edges = list(parent.labels), set(parent.edges())
+        before = graph_state(parent)
+        child, _ = apply_update(parent, mixed_batch(rng, labels, edges))
+        assert graph_state(parent) == before
+        child_before = graph_state(child)
+        grandchild, _ = apply_update(child, mixed_batch(rng, labels, edges))
+        assert graph_state(parent) == before
+        assert graph_state(child) == child_before
+        # Valid deltas touch rows and labels before the last one fails.
+        u, v = next(parent.edges())
+        half_done = UpdateBatch(
+            (
+                Delta.delete_edge(u, v),
+                Delta.insert_vertex(parent.label(u)),
+                Delta.insert_edge(u, parent.num_vertices),
+                Delta.delete_vertex(v),
+                Delta.insert_edge(u, v),
+            )
+        )
+        with pytest.raises(UpdateError, match=r"deltas\[4\]"):
+            apply_update(parent, half_done)
+        assert graph_state(parent) == before
+        assert graph_state(child) == child_before
+        assert graph_state(grandchild) == graph_state(Graph(labels=labels, edges=sorted(edges)))
+
+    def test_untouched_rows_are_shared(self):
+        graph = Graph(labels=["A", "B", "B", "C"], edges=[(0, 1), (1, 2), (2, 3)])
+        child, _ = apply_update(graph, UpdateBatch((Delta.insert_edge(0, 2),)))
+        for v in (1, 3):
+            assert child.neighbors(v) is graph.neighbors(v)
+            assert child.neighbor_set(v) is graph.neighbor_set(v)
+        assert child.neighbors(0) == (1, 2) and graph.neighbors(0) == (1,)
+        # No label moved, so the label index is shared too.
+        assert child.vertices_with_label("B") is graph.vertices_with_label("B")
+        grown, _ = apply_update(
+            child, UpdateBatch((Delta.insert_vertex("C"), Delta.delete_vertex(0)))
+        )
+        assert grown.vertices_with_label("B") == (1, 2)
+        assert grown.vertices_with_label("C") == (3, 4)
+        assert "A" not in grown.distinct_labels()
+        assert grown.neighbors(3) is graph.neighbors(3)
+
+    def test_cross_validate_catches_diverged_graph(self, monkeypatch):
+        real_apply = dynamic.apply_update
+
+        def apply_with_stale_set(graph, batch):
+            new, footprint = real_apply(graph, batch)
+            new._adj_sets[0] = graph.neighbor_set(0)
+            return new, footprint
+
+        monkeypatch.setattr(dynamic, "apply_update", apply_with_stale_set)
+        session = simple_session()
+        before = session.data
+        with pytest.raises(UpdateError, match="derived graph"):
+            session.apply(UpdateBatch((Delta.insert_edge(0, 2),)), cross_validate=True)
+        assert session.data is before
+        assert session.graph_version == 0
+
+
+def mixed_batch(rng: random.Random, labels: list, edges: set) -> UpdateBatch:
+    """A valid 8-delta batch mixing all four delta kinds, including edges
+    at vertices inserted, and deletions of vertices inserted, earlier in
+    the same batch.  ``labels`` and ``edges`` model the graph and are
+    updated to describe the result."""
+    deltas = []
+    for _ in range(8):
+        live = [v for v, lab in enumerate(labels) if lab != TOMBSTONE_LABEL]
+        op = rng.random()
+        if op < 0.2 or len(live) < 2:
+            deltas.append(Delta.insert_vertex(rng.choice("ABC")))
+            labels.append(deltas[-1].label)
+        elif op < 0.55:
+            u, v = sorted(rng.sample(live, 2))
+            if (u, v) in edges:
+                deltas.append(Delta.delete_edge(u, v))
+                edges.discard((u, v))
+            else:
+                deltas.append(Delta.insert_edge(v, u))
+                edges.add((u, v))
+        elif op < 0.85 and edges:
+            u, v = rng.choice(sorted(edges))
+            deltas.append(Delta.delete_edge(u, v))
+            edges.discard((u, v))
+        else:
+            victim = rng.choice(live)
+            deltas.append(Delta.delete_vertex(victim))
+            labels[victim] = TOMBSTONE_LABEL
+            edges.difference_update({e for e in edges if victim in e})
+    return UpdateBatch(tuple(deltas))
+
+
+def graph_state(graph: Graph) -> tuple:
+    """Everything a frozen graph answers, as cross-validation compares it,
+    plus its hash."""
+    return dynamic._graph_state(graph), hash(graph)
 
 
 # ----------------------------------------------------------------------
