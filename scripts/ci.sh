@@ -5,8 +5,8 @@
 #
 # Usage: scripts/ci.sh            (from the repository root)
 #   TIER1_TIMEOUT / FAULTS_TIMEOUT / OBS_TIMEOUT / BENCH_TIMEOUT /
-#   LINT_TIMEOUT / CHAOS_TIMEOUT / PERF_TESTS_TIMEOUT / YAGO_REFINE_TIMEOUT
-#   override the caps (seconds).
+#   LINT_TIMEOUT / CHAOS_TIMEOUT / PERF_TESTS_TIMEOUT / YAGO_REFINE_TIMEOUT /
+#   HUMAN_ENUM_TIMEOUT override the caps (seconds).
 
 set -eu
 
@@ -21,6 +21,7 @@ LINT_TIMEOUT="${LINT_TIMEOUT:-120}"
 CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-300}"
 PERF_TESTS_TIMEOUT="${PERF_TESTS_TIMEOUT:-180}"
 YAGO_REFINE_TIMEOUT="${YAGO_REFINE_TIMEOUT:-300}"
+HUMAN_ENUM_TIMEOUT="${HUMAN_ENUM_TIMEOUT:-300}"
 
 echo "==> static analysis (cap: ${LINT_TIMEOUT}s)"
 # AST invariant checkers (docs/static-analysis.md): schema drift,
@@ -232,6 +233,21 @@ echo "==> refinement on yago vs an independent engine (cap: ${YAGO_REFINE_TIMEOU
 timeout --kill-after=30 "$YAGO_REFINE_TIMEOUT" \
     python3 -m perf.run --workload yago_refine --seconds 1 > "$OBS_TMP/yago.txt"
 tail -n 1 "$OBS_TMP/yago.txt" | python -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+assert result["correct"] is True, result
+assert result["failed"] == 0, result
+'
+
+echo "==> leaf-counted enumeration on human vs an independent engine (cap: ${HUMAN_ENUM_TIMEOUT}s)"
+# One short human_enum run answers each of its 100 queries from a warmed
+# session with the paper's k = 10^5 in counting mode, where deferred
+# leaves are counted combinatorially, and checks every count against
+# CFL-Match's (perf/expected/); the last stdout line must report no
+# wrong answer and no failed operation.
+timeout --kill-after=30 "$HUMAN_ENUM_TIMEOUT" \
+    python3 -m perf.run --workload human_enum --seconds 1 > "$OBS_TMP/human.txt"
+tail -n 1 "$OBS_TMP/human.txt" | python -c '
 import json, sys
 result = json.loads(sys.stdin.read())
 assert result["correct"] is True, result

@@ -1,7 +1,12 @@
 """DAF core: DAG construction, candidate space, backtracking, failing sets."""
 
 from .backtrack import BacktrackEngine
-from .candidate_space import CandidateSpace, build_candidate_space, has_weak_embedding
+from .candidate_space import (
+    CandidateSpace,
+    build_candidate_space,
+    compute_weight_array,
+    has_weak_embedding,
+)
 from .config import DA_CAND, DA_PATH, DAF_CAND, DAF_PATH, MatchConfig
 from .dag import build_dag, select_root
 from .trace import SearchTracer, TraceNode
@@ -22,7 +27,6 @@ from .matcher import (
 from .ordering import (
     CandidateSizeOrder,
     PathSizeOrder,
-    compute_weight_array,
     count_paths_from,
     make_order,
 )

@@ -60,7 +60,9 @@ therefore suspend and resume like the base engine.
 from __future__ import annotations
 
 import signal
-from typing import Callable, Optional
+from collections import Counter
+from itertools import repeat
+from typing import Callable, Optional, Sequence
 
 from ..interfaces import Deadline, Embedding, SearchStats, TimeoutSignal
 from ..resilience.budget import embedding_bytes
@@ -204,6 +206,11 @@ class BacktrackEngine:
             self.deferred = tuple(False for _ in range(n))
         self.deferred_leaves = tuple(u for u in range(n) if self.deferred[u])
         self.num_core = n - len(self.deferred_leaves)
+        # The children whose pending-parent counts _map/_unmap maintain;
+        # deferred leaves never become extendable.
+        self.core_children = tuple(
+            tuple(c for c in self.children[u] if not self.deferred[c]) for u in range(n)
+        )
         # Deferred leaves grouped by label for combinatorial counting:
         # leaves of different labels never compete for a data vertex.
         groups: dict[object, list[int]] = {}
@@ -217,7 +224,7 @@ class BacktrackEngine:
         self.visited_by: dict[int, int] = {}
         self.pending = [len(self.parents[u]) for u in range(n)]
         self.extendable: set[int] = set()
-        self.cmu: list[Optional[list[int]]] = [None] * n
+        self.cmu: list[Optional[Sequence[int]]] = [None] * n
         self.wmu = [0] * n
         self.mapped_core = 0
 
@@ -303,13 +310,17 @@ class BacktrackEngine:
                 best_u = u
         return best_u
 
-    def _compute_cmu(self, u: int) -> list[int]:
-        """C_M(u): intersect the parents' CS adjacency lists (Def. 5.2)."""
+    def _compute_cmu(self, u: int) -> Sequence[int]:
+        """C_M(u): intersect the parents' CS adjacency lists (Def. 5.2).
+
+        With a single parent this is the parent's CS row itself, shared
+        rather than copied: C_M(u) is only ever read.
+        """
         down = self.cs.down
         midx = self.midx
         lists = [down[p][u][midx[p]] for p in self.parents[u]]
         if len(lists) == 1:
-            return list(lists[0])
+            return lists[0]
         lists.sort(key=len)
         result = set(lists[0])
         for other in lists[1:]:
@@ -323,28 +334,28 @@ class BacktrackEngine:
         self.midx[u] = i
         if self.injective:
             self.visited_by[v] = u
-        self.extendable.discard(u)
+        extendable = self.extendable
+        extendable.discard(u)
         self.mapped_core += 1
-        for c in self.children[u]:
-            if self.deferred[c]:
-                continue
-            self.pending[c] -= 1
-            if self.pending[c] == 0:
+        pending = self.pending
+        for c in self.core_children[u]:
+            pending[c] -= 1
+            if not pending[c]:
                 cmu = self._compute_cmu(c)
                 self.cmu[c] = cmu
                 self.wmu[c] = self.order.vertex_weight(c, cmu)
-                self.extendable.add(c)
+                extendable.add(c)
 
     def _unmap(self, u: int, v: int) -> None:
-        for c in self.children[u]:
-            if self.deferred[c]:
-                continue
-            if self.pending[c] == 0:
-                self.extendable.discard(c)
+        extendable = self.extendable
+        pending = self.pending
+        for c in self.core_children[u]:
+            if not pending[c]:
+                extendable.discard(c)
                 self.cmu[c] = None
-            self.pending[c] += 1
+            pending[c] += 1
         self.mapped_core -= 1
-        self.extendable.add(u)
+        extendable.add(u)
         if self.injective:
             del self.visited_by[v]
         self.mapping[u] = -1
@@ -557,6 +568,11 @@ class BacktrackEngine:
         every = self.checkpoint_every
         on_checkpoint = self.on_checkpoint
         num_leaves = len(self.deferred_leaves)
+        num_core = self.num_core
+        cmu_of = self.cmu
+        select = self._select
+        map_vertex = self._map
+        unmap_vertex = self._unmap
         ret: Optional[int] = 0
         state = self._state
         while True:
@@ -575,7 +591,7 @@ class BacktrackEngine:
                 stats.recursive_calls += 1
                 if progress is not None:
                     progress.tick(stats.recursive_calls, self.mapped_core)
-                if self.mapped_core == self.num_core:
+                if self.mapped_core == num_core:
                     if not num_leaves:
                         state = _REPORT
                         continue
@@ -585,8 +601,8 @@ class BacktrackEngine:
                         continue
                     state = _ENTER_LEAF
                     continue
-                u = self._select()
-                cmu = self.cmu[u]
+                u = select()
+                cmu = cmu_of[u]
                 if not cmu:
                     if obs is not None:
                         obs.prune_empty += 1
@@ -600,7 +616,7 @@ class BacktrackEngine:
                 state = _ADVANCE
             elif state == _ENTER_LEAF:
                 self._state = _ENTER_LEAF
-                lpos = len(frames) - self.num_core
+                lpos = len(frames) - num_core
                 if lpos == num_leaves:
                     state = _REPORT
                     continue
@@ -650,7 +666,7 @@ class BacktrackEngine:
                                 tracer.enter(u, v)
                             frame[_F_POS] = pos
                             frame[_F_V] = v
-                            self._map(u, i, v)
+                            map_vertex(u, i, v)
                             advanced = True
                             break
                         frame[_F_FS] |= contribution
@@ -704,7 +720,7 @@ class BacktrackEngine:
                 u = frame[_F_U]
                 v = frame[_F_V]
                 if frame[_F_KIND] == _KIND_CORE:
-                    self._unmap(u, v)
+                    unmap_vertex(u, v)
                     frame[_F_V] = -1
                     if tracer is not None:
                         tracer.leave(ret if use_fs else None, ret is None)
@@ -752,10 +768,21 @@ class BacktrackEngine:
 
         Leaves are grouped by label: candidates carry the leaf's label, so
         leaves of *different* labels can never collide and their group
-        counts multiply.  Within a label group injective assignments are
-        counted by a small DFS capped at the remaining limit (group sizes
-        are tiny in practice — they are degree-one query vertices sharing
-        a label).
+        counts multiply.
+
+        A leaf's usable candidates are the slots of its CS row (under its
+        mapped parent) that no mapped core vertex occupies.  The occupied
+        slots are found in O(|M|) by walking the mapped vertices, not the
+        row: the image ``v`` of a mapped vertex occupies a slot iff its
+        index in ``C(u)`` is in the row.  Membership is tested against
+        the row itself, never against data adjacency of the parent's
+        image, because directed and edge-labelled candidate spaces keep
+        adjacent vertices out of a row by direction or edge label.  A
+        one-leaf group then counts ``len(row) - occupied``; larger groups
+        list their usable candidates for :func:`_count_injective`.
+
+        Every row slot counts as examined and every occupied slot as a
+        conflict of the leaf, exactly as if the row were scanned.
 
         Returns ``None`` if at least one assignment exists (embeddings were
         reported in bulk), else a failing-set mask for the first failing
@@ -766,30 +793,36 @@ class BacktrackEngine:
         """
         remaining = self.limit - self.stats.embeddings_found
         obs = self.obs
+        anc = self.anc
+        cs = self.cs
+        occupied = self.visited_by.items()  # empty unless injective
         total = 1
         for label_leaves in self.leaf_groups:
-            available: list[tuple[int, list[int]]] = []
+            slots: list[tuple[int, tuple[int, ...], list[int]]] = []
             conflict_mask = 0
             for u in label_leaves:
-                candidates_u = self.cs.candidates[u]
-                usable: list[int] = []
-                for i in self._leaf_candidate_indices(u):
-                    v = candidates_u[i]
-                    if obs is not None:
-                        obs.candidates_examined += 1
-                    if self.injective:
-                        occupier = self.visited_by.get(v)
-                        if occupier is not None:
-                            conflict_mask |= self.anc[occupier]
-                            if obs is not None:
-                                obs.prune_conflict += 1
-                                obs.vertex_conflict[u] += 1
-                            continue
-                    usable.append(v)
-                available.append((u, usable))
-            group_count = _count_injective(
-                [usable for _, usable in available], cap=remaining, injective=self.injective
-            )
+                row = self._leaf_candidate_indices(u)
+                index_u = cs.candidate_index[u]
+                taken: list[int] = []
+                for v, occupier in occupied:
+                    j = index_u.get(v)
+                    if j is not None and j in row:
+                        taken.append(j)
+                        conflict_mask |= anc[occupier]
+                if obs is not None:
+                    obs.candidates_examined += len(row)
+                    obs.prune_conflict += len(taken)
+                    obs.vertex_conflict[u] += len(taken)
+                slots.append((u, row, taken))
+            if len(slots) == 1:
+                _, row, taken = slots[0]
+                group_count = min(len(row) - len(taken), max(remaining, 1))
+            else:
+                usable = [
+                    [cs.candidates[u][j] for j in row if j not in taken]
+                    for u, row, taken in slots
+                ]
+                group_count = _count_injective(usable, cap=remaining, injective=self.injective)
             if group_count == 0:
                 if obs is not None:
                     obs.prune_empty += 1
@@ -797,8 +830,8 @@ class BacktrackEngine:
                     # to its first leaf so per-vertex sums stay exact.
                     obs.vertex_empty[label_leaves[0]] += 1
                 failing = conflict_mask
-                for u, _ in available:
-                    failing |= self.anc[u]
+                for u in label_leaves:
+                    failing |= anc[u]
                 return failing
             total = min(total * group_count, remaining)
         self._report_bulk(total)
@@ -808,8 +841,12 @@ class BacktrackEngine:
 def _count_injective(candidate_lists: list[list[int]], cap: int, injective: bool) -> int:
     """Number of (injective) assignments choosing one value per list.
 
-    Capped at ``cap`` — callers only need ``min(true count, cap)``.  With
-    ``injective=False`` this is a plain product.
+    Capped at ``cap`` — callers only need ``min(true count, cap)``; a
+    ``cap`` of 0 or less counts as 1.  With ``injective=False`` this is a
+    plain product.  Two lists ``A``, ``B`` take the closed form
+    ``|A||B| - collisions``, where a collision is a pair of positions
+    holding the same value (``|A ∩ B|`` when neither list repeats a
+    value); three or more lists run a small DFS.
     """
     if cap <= 0:
         cap = 1
@@ -822,6 +859,11 @@ def _count_injective(candidate_lists: list[list[int]], cap: int, injective: bool
         return total
     if len(candidate_lists) == 1:
         return min(len(candidate_lists[0]), cap)
+    if len(candidate_lists) == 2:
+        first, second = candidate_lists
+        counts = Counter(first)
+        collisions = sum(map(counts.get, second, repeat(0)))
+        return min(len(first) * len(second) - collisions, cap)
     # Small-group DFS, most-constrained list first for fast failure.
     order = sorted(range(len(candidate_lists)), key=lambda k: len(candidate_lists[k]))
     lists = [candidate_lists[k] for k in order]

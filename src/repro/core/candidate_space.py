@@ -21,7 +21,8 @@ Construction (``build_candidate_space``):
    the members of ``C(u)`` that border some candidate of the child with
    the smallest candidate set — on the first pass over ``q_D^{-1}`` this
    is CFL-Match's top-down generation — and generates that neighbourhood
-   only when the child's set is smaller than the set it would narrow.
+   only when its degree sum makes it cheaper than testing the set it
+   would narrow.
 3. Materialize CS edges as per-DAG-edge adjacency lists
    ``N^u_{u_c}(v)`` storing candidate *indices*, which is what the
    backtracking engine intersects to compute extendable candidates.
@@ -35,8 +36,9 @@ re-testing only candidates the batch could have affected
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional, Union
+from array import array
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Union
 
 from ..graph.digraph import ReversedDAG, RootedDAG
 from ..graph.graph import Graph
@@ -74,6 +76,9 @@ class CandidateSpace:
         (:mod:`repro.core.cs_delta`) replays this trail against a mutated
         data graph to refresh only delta-affected candidates while
         staying bit-identical to a cold rebuild.
+
+    A CS is never mutated after construction (a refresh builds a new
+    one), which is what lets :attr:`weights` be computed once and kept.
     """
 
     query: Graph
@@ -84,6 +89,23 @@ class CandidateSpace:
     down: list[dict[int, list[tuple[int, ...]]]]
     refinement_steps: int
     trail: Optional[list[list[set[int]]]] = None
+    _weights: Optional[tuple[Sequence[int], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def weights(self) -> tuple[Sequence[int], ...]:
+        """The path-size weight array ``W[u][i]`` (§5.2), built on first
+        read and kept for the life of this CS.
+
+        Every cache hit on a prepared query reuses it instead of
+        recomputing it.  Rows are stored as ``array('q')`` (8 bytes per
+        candidate instead of a list slot plus an int object); a row whose
+        weights overflow 64 bits stays a tuple of Python ints.
+        """
+        if self._weights is None:
+            self._weights = tuple(_compact(row) for row in compute_weight_array(self))
+        return self._weights
 
     @property
     def size(self) -> int:
@@ -111,6 +133,51 @@ class CandidateSpace:
         i = self.candidate_index[u][v]
         return tuple(self.candidates[u_c][j] for j in self.down[u][u_c][i])
 
+
+def _compact(row: list[int]) -> Sequence[int]:
+    try:
+        return array("q", row)
+    except OverflowError:
+        return tuple(row)
+
+
+def compute_weight_array(cs: CandidateSpace) -> list[list[int]]:
+    """The path-size weight array ``W[u][i]`` (i indexes ``C(u)``), §5.2.
+
+    Bottom-up over the rooted DAG in time proportional to the CS size:
+    ``W_u(v) = 1`` if ``u`` has no single-parent child, otherwise the
+    minimum over single-parent children ``c`` of the sum of ``W_c(v')``
+    over ``v'`` in ``N^u_c(v)``.  :attr:`CandidateSpace.weights` caches
+    it per CS; this function always recomputes.
+    """
+    dag = cs.dag
+    n = cs.query.num_vertices
+    weights: list[list[int]] = [[] for _ in range(n)]
+    for u in reversed(dag.topological_order()):
+        num_candidates = len(cs.candidates[u])
+        tree_children = dag.single_parent_children(u)
+        if not tree_children:
+            weights[u] = [1] * num_candidates
+            continue
+        row = [0] * num_candidates
+        for i in range(num_candidates):
+            best = None
+            for c in tree_children:
+                total = sum(map(weights[c].__getitem__, cs.down[u][c][i]))
+                if best is None or total < best:
+                    best = total
+            row[i] = best if best is not None else 1
+        weights[u] = row
+    return weights
+
+
+#: Narrowing a DP pass to ``N(C(u*))`` pays when the union's degree sum is
+#: below this many steps per candidate it saves testing: one set insertion
+#: per step against an MND/NLF check plus up to one ``isdisjoint`` per
+#: child per test.  Measured on the benchmark graphs, 8 cut refinement
+#: time on the human query pool by about a fifth and on hprd's by a
+#: tenth, and left yago and yeast unmoved.
+_UNION_STEPS_PER_TEST = 8
 
 #: Safety net on a ``refine_to_fixpoint`` run's pass count.
 MAX_FIXPOINT_STEPS = 64
@@ -176,11 +243,13 @@ def _refine_pass(
 
     The tested set is generated, not filtered: a survivor borders some
     candidate of every child, so it lies in ``N(C(u*))`` for the child
-    ``u*`` with the smallest candidate set.  When ``|C(u*)|`` is below
-    the size of the set to test, the pass builds that neighbourhood and
-    tests only its intersection with the set (CFL-Match's top-down
-    candidate generation applied to every pass); otherwise it tests the
-    set as is.  Either way the output is the same.
+    ``u*`` with the smallest candidate set.  When building that
+    neighbourhood is cheaper than testing the set (``|C(u*)|`` is below
+    the set's size and the degree sum of ``C(u*)`` is below
+    :data:`_UNION_STEPS_PER_TEST` times it), the pass builds it and tests
+    only its intersection with the set (CFL-Match's top-down candidate
+    generation applied to every pass); otherwise it tests the set as is.
+    Either way the output is the same.
 
     With an ``observer``, rejections are attributed per reason: local
     MND/NLF failures count as ``prune_label_degree``; DP failures (no
@@ -231,9 +300,12 @@ def _refine_pass(
         if children:
             # Every survivor borders a candidate of each child, so only
             # N(C(u*)) for the smallest child set u* can survive.  Build
-            # that reach only when C(u*) is smaller than the pool.
+            # that reach only when it is cheaper than testing the pool:
+            # the union walks the degree sum of C(u*).
             smallest = min((cand[u_c] for u_c in children), key=len)
-            if len(smallest) < len(pool):
+            if len(smallest) < len(pool) and (
+                sum(map(data.degree, smallest)) < _UNION_STEPS_PER_TEST * len(pool)
+            ):
                 reach = set().union(*map(data.neighbor_set, smallest))
                 tested = pool & reach
                 if observer is not None:

@@ -12,8 +12,10 @@ which is what makes them adaptive:
   ``u`` when ``u`` is mapped to ``v`` (the infrequent-path-first strategy
   transplanted to DAG ordering).
 
-The weight array is computed here, bottom-up over the rooted DAG in time
-proportional to the CS size:
+The weight array is computed bottom-up over the rooted DAG in time
+proportional to the CS size, once per candidate space
+(:func:`~repro.core.candidate_space.compute_weight_array`, cached as
+:attr:`CandidateSpace.weights`):
 
 - if ``u`` has no single-parent child, ``W_u(v) = 1``;
 - otherwise ``W_u(v) = min over single-parent children c of
@@ -23,30 +25,6 @@ proportional to the CS size:
 from __future__ import annotations
 
 from .candidate_space import CandidateSpace
-
-
-def compute_weight_array(cs: CandidateSpace) -> list[list[int]]:
-    """The path-size weight array ``W[u][i]`` (i indexes ``C(u)``)."""
-    dag = cs.dag
-    n = cs.query.num_vertices
-    weights: list[list[int]] = [[] for _ in range(n)]
-    for u in reversed(dag.topological_order()):
-        num_candidates = len(cs.candidates[u])
-        tree_children = dag.single_parent_children(u)
-        if not tree_children:
-            weights[u] = [1] * num_candidates
-            continue
-        row = [0] * num_candidates
-        for i in range(num_candidates):
-            best = None
-            for c in tree_children:
-                child_weights = weights[c]
-                total = sum(child_weights[j] for j in cs.down[u][c][i])
-                if best is None or total < best:
-                    best = total
-            row[i] = best if best is not None else 1
-        weights[u] = row
-    return weights
 
 
 def count_paths_from(cs: CandidateSpace, path: tuple[int, ...], v: int) -> int:
@@ -77,12 +55,11 @@ class PathSizeOrder:
     name = "path"
 
     def __init__(self, cs: CandidateSpace) -> None:
-        self._weights = compute_weight_array(cs)
+        self._weights = cs.weights
 
     def vertex_weight(self, u: int, extendable_candidate_indices: list[int]) -> int:
         """w_M(u) = sum of W_u(v) over v in C_M(u)."""
-        row = self._weights[u]
-        return sum(row[i] for i in extendable_candidate_indices)
+        return sum(map(self._weights[u].__getitem__, extendable_candidate_indices))
 
 
 class CandidateSizeOrder:

@@ -38,7 +38,6 @@ from ..core.config import MatchConfig
 from ..core.dag import build_dag, select_root
 from ..core.filters import initial_candidate_count
 from ..core.matcher import DAFMatcher
-from ..core.ordering import compute_weight_array
 from ..graph.graph import Graph
 from ..interfaces import MatchOptions, MatchRequest, MatchResult
 from .metrics import VERTEX_COUNTERS, MetricsRegistry
@@ -169,9 +168,8 @@ def explain(query: Graph, data: Graph, config: MatchConfig | None = None) -> Que
     per_step = [{u: len(s[u]) for u in query.vertices()} for s in snapshots]
     weight_summary = {}
     if not cs.is_empty():
-        weights = compute_weight_array(cs)
         for u in query.vertices():
-            row = weights[u]
+            row = cs.weights[u]
             if row:
                 weight_summary[u] = (min(row), max(row))
     return QueryPlan(

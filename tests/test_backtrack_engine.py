@@ -388,3 +388,118 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("key", list(BOOST_CONFIGS))
     def test_boost_variant(self, boost_corpus, key):
         assert _golden_run(boost_corpus, BOOST_CONFIGS[key], boost=True) == GOLDEN[key]
+
+
+# ----------------------------------------------------------------------
+# Leaf-counting counters
+# ----------------------------------------------------------------------
+# Counting-mode leaf decomposition is pinned on a corpus whose queries
+# carry 1-, 2- and 3-leaf label groups (and a few larger ones), with
+# failing sets on and off and with a limit that caps the count.  The
+# values were recorded before the one-leaf occupancy shortcut and the
+# closed-form pair count replaced per-candidate listing, so both must
+# keep every counter, including the per-vertex attribution, unchanged.
+
+
+def _leaf_group_corpus():
+    rng = random.Random(22)
+    cases = []
+    for _ in range(24):
+        n = rng.randint(16, 30)
+        labels = random_labels(n, rng.choice((1, 2, 3, 3)), rng)
+        data = ensure_connected(gnm_random_graph(n, rng.randint(n, 2 * n), labels, rng), rng)
+        core, image = extract_query(data, rng.randint(4, 7), rng)
+        query_labels = [core.label(u) for u in core.vertices()]
+        edges = list(core.edges())
+        for _ in range(rng.randint(2, 6)):
+            attach = rng.randrange(core.num_vertices)
+            edges.append((attach, len(query_labels)))
+            query_labels.append(data.label(rng.choice(data.neighbors(image[attach]))))
+        cases.append((Graph(labels=query_labels, edges=edges), data))
+    return cases
+
+
+def _leaf_counter_run(cases, use_failing_sets, limit):
+    rows = []
+    for query, data in cases:
+        config = MatchConfig(use_failing_sets=use_failing_sets, collect_embeddings=False)
+        request = MatchRequest(query, data, options=MatchOptions(limit=limit))
+        registry = MetricsRegistry()
+        result = DAFMatcher(config, observer=registry).match(request)
+        rows.append(
+            (
+                result.stats.recursive_calls,
+                result.stats.embeddings_found,
+                registry.candidates_examined,
+                registry.prune_conflict,
+                registry.prune_empty,
+                registry.fs_cuts,
+                tuple(registry.vertex_conflict),
+                tuple(registry.vertex_empty),
+            )
+        )
+    totals = tuple(sum(row[k] for row in rows) for k in range(6))
+    return totals, _digest(rows)
+
+
+LEAF_COUNTER_CONFIGS = {
+    "DAF/full": (True, 10**6),
+    "DA/full": (False, 10**6),
+    "DAF/capped": (True, 500),
+}
+
+LEAF_COUNTER_GOLDEN = {
+    'DAF/full': ((1764, 58967, 16696, 6883, 254, 23), 'ee39e409918b3094'),
+    'DA/full': ((1774, 58967, 16714, 6891, 259, 0), '8d89567da0e8257e'),
+    'DAF/capped': ((420, 2838, 2591, 1050, 55, 12), '6edc2248f6e76eb7'),
+}
+
+
+class TestLeafCountingCounters:
+    def test_corpus_has_every_group_size(self):
+        sizes = set()
+        for query, data in _leaf_group_corpus():
+            engine = make_engine(query, data)
+            sizes.update(len(group) for group in engine.leaf_groups)
+        assert {1, 2, 3} <= sizes
+
+    @pytest.mark.parametrize("key", list(LEAF_COUNTER_CONFIGS))
+    def test_counters_pinned(self, key):
+        fs, limit = LEAF_COUNTER_CONFIGS[key]
+        assert _leaf_counter_run(_leaf_group_corpus(), fs, limit) == LEAF_COUNTER_GOLDEN[key]
+
+
+def _reference_count(lists, cap):
+    """Capped injective count by enumerating one position per list."""
+    cap = max(cap, 1)
+    count = 0
+    for choice in itertools.product(*lists):
+        if len(set(choice)) == len(choice):
+            count += 1
+            if count >= cap:
+                break
+    return count
+
+
+class TestCountInjectivePairs:
+    def test_pair_matches_reference(self):
+        rng = random.Random(8)
+        for _ in range(400):
+            pool = rng.randint(1, 8)
+            pair = [
+                [rng.randrange(pool) for _ in range(rng.randint(0, 6))] for _ in range(2)
+            ]
+            if rng.random() < 0.5:  # duplicate-free, as CS rows are
+                pair = [sorted(set(lst)) for lst in pair]
+            cap = rng.choice((-1, 0, 1, 2, 3, 5, 100))
+            assert _count_injective(pair, cap=cap, injective=True) == _reference_count(
+                pair, cap
+            ), (pair, cap)
+
+    def test_pair_cap_below_true_count(self):
+        assert _count_injective([[1, 2, 3], [4, 5, 6]], cap=4, injective=True) == 4
+
+    def test_pair_with_duplicates(self):
+        # Positions are distinct choices: (1, 2) from either copy of 1,
+        # and (2, 1).
+        assert _count_injective([[1, 1, 2], [1, 2]], cap=100, injective=True) == 3

@@ -241,3 +241,52 @@ class TestDirectedCS:
         # B2 must not be a candidate of the query B (in-degree mismatch
         # catches it at C_ini already: query B has in-degree 1, B2 has 0).
         assert 2 not in cs.candidate_index[1]
+
+
+def _filtered_row_instance(reverse: bool):
+    """Query A0 -> B1 (the leaf), B2 -> A0, B2 -> C3, C3 -> A0, and data
+    in which a=0, b1=1, b2=2, c=3 embed the core with b2 -> a; a second
+    copy a2=4, b3=5, c2=6 gives b2 an in-edge from an A (a2 -> b2), so
+    b2 is a candidate of the leaf.  ``reverse`` flips every edge of both
+    graphs, which makes the leaf's row the parent's in-neighbours."""
+    query_edges = [(0, 1), (2, 0), (2, 3), (3, 0)]
+    data_edges = [(0, 1), (2, 0), (2, 3), (3, 0), (4, 2), (5, 4), (5, 6), (6, 4)]
+    if reverse:
+        query_edges = [(v, u) for u, v in query_edges]
+        data_edges = [(v, u) for u, v in data_edges]
+    query = DirectedGraph(labels=["A", "B", "B", "C"], edges=query_edges)
+    data = DirectedGraph(labels=["A", "B", "B", "C", "A", "B", "C"], edges=data_edges)
+    return query, data
+
+
+class TestLeafCountingOnFilteredRows:
+    """Counting mode's leaf counter tests occupancy against the leaf's CS
+    row.  Here a mapped core vertex's image (b2) is a data neighbour of
+    the leaf parent's image (a) and a candidate of the leaf, but the edge
+    between them runs the wrong way, so b2 is not in the leaf's row and
+    takes no slot."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_instance_has_adjacent_occupier_outside_row(self, reverse):
+        query, data = _filtered_row_instance(reverse)
+        cs, dag = build_directed_candidate_space(query, data)
+        assert dag.parents(1) == (0,)
+        leaf_index = cs.candidate_index[1]
+        assert 2 in leaf_index  # b2 can host the leaf ...
+        row = cs.down[0][1][cs.candidate_index[0][0]]
+        assert leaf_index[2] not in row  # ... but not next to a
+        assert data.has_edge(0, 2) if reverse else data.has_edge(2, 0)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_count_only_equals_collect_and_bruteforce(self, reverse):
+        query, data = _filtered_row_instance(reverse)
+        expected = DirectedBruteForce().match(query, data, limit=10**6).count
+        assert expected == 2
+        for fs in (True, False):
+            collected = DirectedDAFMatcher(MatchConfig(use_failing_sets=fs)).match(
+                query, data, limit=10**6
+            )
+            counted = DirectedDAFMatcher(
+                MatchConfig(use_failing_sets=fs, collect_embeddings=False)
+            ).match(query, data, limit=10**6)
+            assert collected.count == counted.count == expected

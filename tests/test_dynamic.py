@@ -647,6 +647,42 @@ class TestEquivalence:
 # ----------------------------------------------------------------------
 # Observability
 # ----------------------------------------------------------------------
+class TestWeightArrayCache:
+    """Cache hits reuse the cached CS's path-size weight array; a refresh
+    builds a new CS whose weights are built once on its first read."""
+
+    def test_hits_build_weights_once_per_candidate_space(self, rng, monkeypatch):
+        from repro.core import candidate_space
+
+        calls = []
+        real = candidate_space.compute_weight_array
+
+        def counting(cs):
+            calls.append(cs)
+            return real(cs)
+
+        monkeypatch.setattr(candidate_space, "compute_weight_array", counting)
+        for _ in range(4):
+            query, data = random_graph_case(rng, max_vertices=14, max_query=5)
+            session = DataGraphSession(data)
+            request = MatchRequest(query)
+            for _ in range(3):
+                session.run(request)
+                before = len(calls)
+                session.run(request)
+                assert len(calls) == before  # a second hit computes nothing
+                entry, _ = session.cache.lookup(query)
+                cs = entry.prepared.cs
+                if not cs.is_empty():
+                    assert calls[-1] is cs
+                    assert [list(row) for row in cs.weights] == real(cs)
+                session.apply(
+                    random_batch(rng, session.data, rng.randint(1, 5)),
+                    cross_validate=True,
+                )
+        assert calls
+
+
 class TestEvents:
     def test_update_and_embedding_events_validate(self):
         from repro.obs import MemorySink, MetricsRegistry

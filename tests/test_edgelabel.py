@@ -9,6 +9,7 @@ from repro import MatchConfig
 from repro.general import (
     EdgeLabeledDAFMatcher,
     EdgeLabeledGraph,
+    build_edge_labeled_candidate_space,
     edge_labeled_candidates,
     is_edge_labeled_embedding,
 )
@@ -165,3 +166,46 @@ class TestMatching:
         result = EdgeLabeledDAFMatcher().match(query, data)
         assert result.count == 0
         assert result.stats.recursive_calls == 0
+
+
+class TestLeafCountingOnFilteredRows:
+    """Counting mode's leaf counter tests occupancy against the leaf's CS
+    row.  Here a mapped core vertex's image is a data neighbour of the
+    leaf parent's image and a candidate of the leaf, but over the wrong
+    edge label, so it is not in the leaf's row and takes no slot."""
+
+    # Query: A0 -r- B1 (the leaf), A0 -s- B2, B2 -r- C3, A0 -r- C3.
+    QUERY = EdgeLabeledGraph.build(
+        ["A", "B", "B", "C"], [(0, 1, "r"), (0, 2, "s"), (2, 3, "r"), (0, 3, "r")]
+    )
+    # Data: a=0, b1=1, b2=2, c=3 embed the core with a -s- b2; a second
+    # copy a2=4, b3=5, c2=6 gives b2 an r-edge to an A (a2 -r- b2), so
+    # b2 is a candidate of the leaf.
+    DATA = EdgeLabeledGraph.build(
+        ["A", "B", "B", "C", "A", "B", "C"],
+        [
+            (0, 1, "r"), (0, 2, "s"), (2, 3, "r"), (0, 3, "r"),
+            (4, 2, "r"), (4, 5, "s"), (5, 6, "r"), (4, 6, "r"),
+        ],
+    )
+
+    def test_instance_has_adjacent_occupier_outside_row(self):
+        cs, dag = build_edge_labeled_candidate_space(self.QUERY, self.DATA)
+        assert dag.parents(1) == (0,)
+        leaf_index = cs.candidate_index[1]
+        assert 2 in leaf_index  # b2 can host the leaf ...
+        row = cs.down[0][1][cs.candidate_index[0][0]]
+        assert leaf_index[2] not in row  # ... but not next to a
+        assert self.DATA.skeleton.has_edge(0, 2)
+
+    def test_count_only_equals_collect_and_oracle(self):
+        expected = len(oracle(self.QUERY, self.DATA))
+        assert expected == 2
+        for fs in (True, False):
+            collected = EdgeLabeledDAFMatcher(MatchConfig(use_failing_sets=fs)).match(
+                self.QUERY, self.DATA, limit=10**6
+            )
+            counted = EdgeLabeledDAFMatcher(
+                MatchConfig(use_failing_sets=fs, collect_embeddings=False)
+            ).match(self.QUERY, self.DATA, limit=10**6)
+            assert collected.count == counted.count == expected

@@ -81,3 +81,54 @@ class TestOrders:
             for u in query.vertices():
                 indices = list(range(len(cs.candidates[u])))
                 assert order.vertex_weight(u, indices) == sum(weights[u])
+
+
+class TestWeightCache:
+    """``CandidateSpace.weights`` builds the weight array once per CS."""
+
+    def test_cached_weights_equal_fresh_computation(self, rng):
+        for _ in range(8):
+            query, data = random_graph_case(rng)
+            cs = prepared(query, data)
+            assert [list(row) for row in cs.weights] == compute_weight_array(cs)
+            assert cs.weights is cs.weights
+
+    def test_orders_on_one_cs_compute_it_once(self, rng, monkeypatch):
+        from repro.core import candidate_space
+
+        calls = []
+        real = candidate_space.compute_weight_array
+
+        def counting(cs):
+            calls.append(cs)
+            return real(cs)
+
+        monkeypatch.setattr(candidate_space, "compute_weight_array", counting)
+        query, data = random_graph_case(rng)
+        cs = prepared(query, data)
+        first, second = PathSizeOrder(cs), PathSizeOrder(cs)
+        assert calls == [cs]
+        indices = list(range(len(cs.candidates[0])))
+        assert first.vertex_weight(0, indices) == second.vertex_weight(0, indices)
+
+    def test_overflowing_row_keeps_python_ints(self):
+        from repro.core.candidate_space import _compact
+
+        assert list(_compact([1, 2**40])) == [1, 2**40]
+        assert list(_compact([2**70, 1])) == [2**70, 1]
+
+    def test_explain_reports_the_weight_bounds(self, rng):
+        from repro.obs.explain import explain
+
+        for _ in range(5):
+            query, data = random_graph_case(rng)
+            plan = explain(query, data)
+            cs = prepared(query, data)
+            if cs.is_empty():
+                continue
+            weights = compute_weight_array(cs)
+            assert plan.weight_summary == {
+                u: (min(weights[u]), max(weights[u]))
+                for u in query.vertices()
+                if weights[u]
+            }
