@@ -65,9 +65,7 @@ def main() -> None:
         "chain ml<-db<-theory": reversed_chain,
     }
     for name, pattern in patterns.items():
-        # DirectedDAFMatcher's positional match() is the directed
-        # subsystem's own surface, not the deprecated interfaces shim.
-        result = matcher.match(pattern, data, limit=5000, time_limit=10.0)  # lint: ignore[IFC003]
+        result = matcher.match(pattern, data, limit=5000, time_limit=10.0)
         print(f"{name:30} {result.count:>6} matches "
               f"({result.stats.recursive_calls} calls, CS {result.stats.candidates_total})")
 

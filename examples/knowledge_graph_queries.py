@@ -14,9 +14,9 @@ Run:  python examples/knowledge_graph_queries.py
 import json
 
 from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
-from repro.core import explain
 from repro.datasets import load
 from repro.graph import Graph
+from repro.obs.explain import explain
 
 
 def typed(labels, edges):

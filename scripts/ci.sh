@@ -6,7 +6,7 @@
 # Usage: scripts/ci.sh            (from the repository root)
 #   TIER1_TIMEOUT / FAULTS_TIMEOUT / OBS_TIMEOUT / BENCH_TIMEOUT /
 #   LINT_TIMEOUT / CHAOS_TIMEOUT / PERF_TESTS_TIMEOUT / YAGO_REFINE_TIMEOUT /
-#   HUMAN_ENUM_TIMEOUT override the caps (seconds).
+#   HUMAN_ENUM_TIMEOUT / EXAMPLES_TIMEOUT override the caps (seconds).
 
 set -eu
 
@@ -22,6 +22,7 @@ CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-300}"
 PERF_TESTS_TIMEOUT="${PERF_TESTS_TIMEOUT:-180}"
 YAGO_REFINE_TIMEOUT="${YAGO_REFINE_TIMEOUT:-300}"
 HUMAN_ENUM_TIMEOUT="${HUMAN_ENUM_TIMEOUT:-300}"
+EXAMPLES_TIMEOUT="${EXAMPLES_TIMEOUT:-120}"
 
 echo "==> static analysis (cap: ${LINT_TIMEOUT}s)"
 # AST invariant checkers (docs/static-analysis.md): schema drift,
@@ -48,6 +49,16 @@ timeout --kill-after=30 "$TIER1_TIMEOUT" \
 echo "==> fault-injection suite (cap: ${FAULTS_TIMEOUT}s)"
 timeout --kill-after=30 "$FAULTS_TIMEOUT" \
     python -m pytest -x -q -m faults
+
+echo "==> examples (cap: ${EXAMPLES_TIMEOUT}s each)"
+# Every script under examples/ must run to completion against the
+# current API; a DeprecationWarning is an error, so an example still on a
+# deprecated spelling fails here rather than in a user's terminal.
+for example in examples/*.py; do
+    echo "--> $example"
+    timeout --kill-after=30 "$EXAMPLES_TIMEOUT" \
+        python -W error::DeprecationWarning "$example" >/dev/null
+done
 
 echo "==> system benchmark self-tests (cap: ${PERF_TESTS_TIMEOUT}s)"
 # The perf/ benchmark's own guards: workload definitions, statistics,

@@ -26,9 +26,8 @@ Public API highlights:
   :class:`repro.BatchEngine` (see ``docs/serving.md``).
 
 Requests travel as :class:`repro.MatchRequest` +
-:class:`repro.MatchOptions` — ``matcher.match(request)`` is the preferred
-call surface; the positional ``matcher.match(query, data, ...)`` form is
-deprecated.
+:class:`repro.MatchOptions` — ``matcher.match(request)`` is the one call
+surface of every matcher (DAF and all baselines).
 """
 
 from .core.config import DA_CAND, DA_PATH, DAF_CAND, DAF_PATH, MatchConfig

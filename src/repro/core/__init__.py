@@ -31,21 +31,6 @@ from .ordering import (
     make_order,
 )
 
-# QueryPlan/explain moved to repro.obs.explain (the EXPLAIN ANALYZE
-# subsystem); re-export lazily so `from repro.core import explain` keeps
-# working without importing the obs stack — or the deprecated
-# repro/core/explain.py shim — during core's own import.
-_MOVED_TO_OBS = ("QueryPlan", "explain")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_OBS:
-        import importlib
-
-        return getattr(importlib.import_module("repro.obs.explain"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BacktrackEngine",
     "CandidateSizeOrder",
@@ -58,10 +43,8 @@ __all__ = [
     "MatchConfig",
     "PathSizeOrder",
     "PreparedQuery",
-    "QueryPlan",
     "SearchTracer",
     "TraceNode",
-    "explain",
     "build_candidate_space",
     "build_dag",
     "compute_weight_array",

@@ -267,9 +267,7 @@ class DirectedDAFMatcher:
         return result
 
     def count(self, query: DirectedGraph, data: DirectedGraph, **kwargs) -> int:
-        # Not the deprecated interfaces.Matcher shim: positional match()
-        # is this subsystem's own (DirectedGraph) surface.
-        return self.match(query, data, **kwargs).count  # lint: ignore[IFC003]
+        return self.match(query, data, **kwargs).count
 
 
 class DirectedBruteForce:

@@ -250,6 +250,10 @@ class _CapacityEngine(BacktrackEngine):
             itertools.permutations(self.members[v], len(usage[v])) for v in hypervertices
         ]
         for combo in itertools.product(*choice_iters):
+            # One expansion is one unit of search work: a hypervertex
+            # with a large class can expand into up to ``limit`` real
+            # embeddings, which must not outrun ``time_limit``.
+            self.deadline.tick()
             real = [-1] * self.n
             for v, chosen in zip(hypervertices, combo):
                 for query_vertex, member in zip(usage[v], chosen):

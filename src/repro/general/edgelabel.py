@@ -285,6 +285,4 @@ class EdgeLabeledDAFMatcher:
         return result
 
     def count(self, query: EdgeLabeledGraph, data: EdgeLabeledGraph, **kwargs) -> int:
-        # Not the deprecated interfaces.Matcher shim: positional match()
-        # is this subsystem's own surface.
-        return self.match(query, data, **kwargs).count  # lint: ignore[IFC003]
+        return self.match(query, data, **kwargs).count

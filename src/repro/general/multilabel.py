@@ -212,6 +212,4 @@ class MultiLabelDAFMatcher:
         return result
 
     def count(self, query: Graph, data: Graph, **kwargs) -> int:
-        # Not the deprecated interfaces.Matcher shim: positional match()
-        # is this subsystem's own surface.
-        return self.match(query, data, **kwargs).count  # lint: ignore[IFC003]
+        return self.match(query, data, **kwargs).count

@@ -7,8 +7,6 @@ cost metric (§5.3), is counted the same way everywhere:
 
 - a matcher is constructed once (possibly with algorithm options) and
   invoked as ``matcher.match(MatchRequest(query, data, options=...))``;
-  the legacy ``matcher.match(query, data, limit=..., time_limit=...)``
-  spelling still works but emits a :class:`DeprecationWarning`;
 - execution options travel in one :class:`MatchOptions` payload shared by
   the sequential, parallel, resilient, session, and batch paths; a
   matcher declares which fields it honors via
@@ -24,7 +22,6 @@ cost metric (§5.3), is counted the same way everywhere:
 from __future__ import annotations
 
 import time
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
@@ -517,7 +514,8 @@ class Matcher(ABC):
 
     Subclasses implement :meth:`_match_impl` (the algorithm) and declare
     :attr:`supported_options`; the concrete :meth:`match` front door
-    normalizes both calling conventions onto that implementation.
+    validates a :class:`MatchRequest` and hands it to that
+    implementation.
     """
 
     #: Human-readable algorithm name used in benchmark reports.
@@ -541,61 +539,27 @@ class Matcher(ABC):
         self.observer = observer
         return self
 
-    def match(
-        self,
-        query: "Graph | MatchRequest",
-        data: Optional[Graph] = None,
-        limit: Optional[int] = None,
-        time_limit: Optional[float] = None,
-        on_embedding: Optional[Callable[[Embedding], None]] = None,
-        **legacy_options,
-    ) -> MatchResult:
-        """Execute a :class:`MatchRequest` (preferred) or a legacy
-        positional call.
+    def match(self, request: Optional[MatchRequest] = None, *args, **kwargs) -> MatchResult:
+        """Execute one :class:`MatchRequest` — the request surface every
+        execution path shares; equivalent to :meth:`run_request`.
 
-        The single-argument form ``matcher.match(request)`` is the
-        request surface every execution path shares.  The historical
-        ``matcher.match(query, data, limit=..., time_limit=...)``
-        spelling is still accepted but deprecated: it is repackaged into
-        a request and a :class:`DeprecationWarning` is emitted.
+        Any other call shape (the removed ``match(query, data, limit=...)``
+        spelling, its all-keyword form, or options passed beside the
+        request) raises a :class:`TypeError` that points at the request
+        form instead of Python's bare arity error.
         """
-        if isinstance(query, MatchRequest):
-            if (
-                data is not None
-                or limit is not None
-                or time_limit is not None
-                or on_embedding is not None
-                or legacy_options
-            ):
-                raise TypeError(
-                    "pass execution options inside the MatchRequest, "
-                    "not alongside it"
-                )
-            request = query
-        else:
-            warnings.warn(
-                "matcher.match(query, data, ...) is deprecated; build a "
-                "repro.MatchRequest (see docs/serving.md) and call "
-                "matcher.match(request)",
-                DeprecationWarning,
-                stacklevel=2,
+        if args or kwargs or not isinstance(request, MatchRequest):
+            raise TypeError(
+                "matcher.match() takes one repro.MatchRequest: put the query, "
+                "data graph and MatchOptions inside the MatchRequest "
+                "(see docs/serving.md)"
             )
-            try:
-                options = MatchOptions(
-                    limit=limit,
-                    time_limit=time_limit,
-                    on_embedding=on_embedding,
-                    **legacy_options,
-                )
-            except TypeError as exc:
-                raise TypeError(f"unknown match option: {exc}") from None
-            request = MatchRequest(query=query, data=data, options=options)
         return self.run_request(request)
 
     def run_request(self, request: MatchRequest) -> MatchResult:
         """Validate ``request`` against :attr:`supported_options` and run
-        it.  This is the non-deprecated programmatic entry point the
-        session/batch/parallel/resilient paths call directly."""
+        it.  The session/batch/parallel/resilient paths call this
+        directly."""
         if request.data is None:
             raise ValueError(
                 "MatchRequest.data is None — attach a data graph, or submit "
@@ -656,8 +620,8 @@ class Matcher(ABC):
         """
 
     def count(self, query: Graph, data: Graph, **kwargs) -> int:
-        """Convenience: number of embeddings (same kwargs as the legacy
-        ``match`` surface).
+        """Convenience: number of embeddings (``kwargs`` are
+        :class:`MatchOptions` fields).
 
         Uses the enumerate-only engine path (``count_only``) when this
         matcher supports it, so no embedding tuples are materialized.

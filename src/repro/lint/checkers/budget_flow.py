@@ -1,17 +1,27 @@
 """BUD002 — budget polls must dominate every unbounded-work path.
 
-BUD001 proves a ``.tick()`` exists *somewhere* in each backtracking
-function; this checker proves it is *reachable on every path*.  Two
-path-shaped holes slip through a containment check:
+The resilience layer (docs/robustness.md) only bounds a search if every
+search step ticks the ``Deadline``/``Budget`` governor; a backtracker
+that skips ``deadline.tick()`` runs unbounded, which friendly unit-test
+inputs never show.  A search step, statically, is the paper's cost
+accounting advanced by a literal 1 (``recursive_calls += 1`` /
+``embeddings_found += 1``; aggregation such as ``stats.recursive_calls
++= sub.recursive_calls`` is not matched).  This checker proves a
+zero-argument ``.tick()`` (``progress.tick(calls, depth)`` does not
+count) is *reachable on every path* through the search work of the
+engine modules in :data:`_SCOPE`:
 
-- a loop that advances the paper's cost accounting
-  (``recursive_calls += 1`` / ``embeddings_found += 1``) but only ticks
-  under a condition — the tick-free branch iterates unmetered;
-- a recursion-cycle member (call-graph SCC) whose entry can reach the
-  recursive call without passing a tick — the untolled entry recurses.
+- a loop that advances the cost accounting must tick on every
+  cost-counting iteration path — a tick under a condition leaves the
+  other branch iterating unmetered;
+- a recursion-cycle member (call-graph SCC) of a cycle that counts cost
+  must not reach the recursive call without passing a tick — the
+  untolled entry recurses;
+- a function that counts ``recursive_calls += 1`` outside any loop or
+  cycle (a step helper driven from elsewhere) must tick somewhere.
 
-Both are checked on the function's CFG.  "Ticks here" is *must*
-evidence: the zero-argument ``.tick()`` has to be a guaranteed
+The first two are checked on the function's CFG.  "Ticks here" is
+*must* evidence: the zero-argument ``.tick()`` has to be a guaranteed
 sub-expression of the element (a tick behind ``and``/``or``/ternary
 does not count), or the element must make a guaranteed call to a
 project-resolved helper that itself ticks (tick-by-delegation, one
@@ -26,11 +36,19 @@ import ast
 from typing import Iterable, Optional
 
 from ..base import MapReduceChecker, register
-from ..context import LintContext
+from ..context import LintContext, own_body_walk
 from ..findings import Finding
 from ..flow.callgraph import CallGraph, FunctionInfo
 from ..flow.cfg import CFG, Block, element_guaranteed_exprs
-from .budget import _SCOPE, _has_budget_tick, _increments_cost_counter
+
+#: Repository-relative path prefixes/files holding search engines.
+_SCOPE = (
+    "src/repro/core/backtrack.py",
+    "src/repro/baselines/",
+    "src/repro/extensions/boost.py",
+    "src/repro/directed/matcher.py",
+    "src/repro/general/",
+)
 
 
 def _is_zero_arg_tick(node: ast.AST) -> bool:
@@ -43,14 +61,22 @@ def _is_zero_arg_tick(node: ast.AST) -> bool:
     )
 
 
-def _counts_cost(node: ast.AST) -> bool:
+def _counts_cost(node: ast.AST, counters=("recursive_calls", "embeddings_found")) -> bool:
     return (
         isinstance(node, ast.AugAssign)
         and isinstance(node.target, ast.Attribute)
-        and node.target.attr in ("recursive_calls", "embeddings_found")
+        and node.target.attr in counters
         and isinstance(node.value, ast.Constant)
         and node.value.value == 1
     )
+
+
+def _has_budget_tick(func: ast.AST) -> bool:
+    return any(_is_zero_arg_tick(node) for node in own_body_walk(func))
+
+
+def _increments_cost_counter(func: ast.AST) -> bool:
+    return any(_counts_cost(node) for node in own_body_walk(func))
 
 
 class _FunctionFacts:
@@ -146,8 +172,8 @@ class _FunctionFacts:
 class BudgetPathChecker(MapReduceChecker):
     id = "BUD002"
     description = (
-        "CFG upgrade of BUD001: cost-counting loops and recursion cycles "
-        "must pass a budget .tick() on every path, not just somewhere"
+        "search steps must poll the Deadline/Budget: cost-counting loops "
+        "and recursion cycles pass a zero-argument .tick() on every path"
     )
 
     def setup(self, ctx: LintContext) -> None:
@@ -163,24 +189,37 @@ class BudgetPathChecker(MapReduceChecker):
         graph = self._graph
         for info in graph.module_functions(module.relpath):
             func = info.node
-            # Precondition: the function already passes BUD001 (a
-            # tick exists somewhere).  A function with *no* tick is
-            # BUD001's finding; re-reporting it here would be noise.
-            if not _has_budget_tick(func):
-                continue
             cycle = self._cycles.get(info.key, frozenset())
             counts_cost = _increments_cost_counter(func)
             if not counts_cost and not cycle:
                 continue
             cfg = ctx.cfg(func)
             facts = _FunctionFacts(cfg, info, graph, cycle)
+            findings = []
             if counts_cost:
-                yield from self._check_loops(module, info, facts)
+                findings.extend(self._check_loops(module, info, facts))
             if cycle and any(
                 _increments_cost_counter(graph.functions[key].node)
                 for key in cycle
             ):
-                yield from self._check_recursion(module, info, facts)
+                findings.extend(self._check_recursion(module, info, facts))
+            if (
+                not findings
+                and not _has_budget_tick(func)
+                and any(
+                    _counts_cost(node, ("recursive_calls",))
+                    for node in own_body_walk(func)
+                )
+            ):
+                findings.append(
+                    self.finding(
+                        module.relpath,
+                        func.lineno,
+                        f"function {info.qualname!r} increments recursive_calls "
+                        "but never polls a budget: add a deadline.tick()",
+                    )
+                )
+            yield from findings
 
     # -- loops ----------------------------------------------------------
     def _check_loops(self, module, info: FunctionInfo, facts: _FunctionFacts):

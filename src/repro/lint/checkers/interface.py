@@ -2,7 +2,8 @@
 
 The bench harness treats every entry of ``repro.baselines.ALL_BASELINES``
 uniformly: it constructs the class with no arguments, calls
-``match(query, data, limit=..., time_limit=...)``, labels table rows with
+``match(MatchRequest(query, data, options=MatchOptions(limit=...,
+time_limit=...)))``, labels table rows with
 ``cls.name`` and reads the ``SearchStats`` fields the regression gate
 compares (``recursive_calls``, ``embeddings_found``, ``search_seconds``).
 A baseline that drifts from any of that silently produces incomparable

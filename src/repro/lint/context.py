@@ -68,7 +68,6 @@ class LintContext:
         if not self.package_dir.is_dir():
             raise FileNotFoundError(f"{self.root} has no src/repro package")
         self._modules: Optional[list[ParsedModule]] = None
-        self._aux_modules: Optional[list[ParsedModule]] = None
         self._by_relpath: dict[str, ParsedModule] = {}
         self._cfgs: dict[int, object] = {}
         self._call_graph: Optional[object] = None
@@ -84,23 +83,6 @@ class LintContext:
             self._by_relpath.update({m.relpath: m for m in parsed})
         return self._modules
 
-    def aux_modules(self) -> list[ParsedModule]:
-        """Parsed in-repo *consumers* of the public API: every ``*.py``
-        under ``examples/`` and ``benchmarks/``.  Interface-drift checks
-        (IFC003) sweep these alongside the package so deprecations are
-        finished, not just announced; the package-internal checkers
-        ignore them."""
-        if self._aux_modules is None:
-            parsed = []
-            for directory in ("examples", "benchmarks"):
-                base = self.root / directory
-                if base.is_dir():
-                    for path in sorted(base.rglob("*.py")):
-                        parsed.append(self._parse(path))
-            self._aux_modules = parsed
-            self._by_relpath.update({m.relpath: m for m in parsed})
-        return self._aux_modules
-
     def module(self, relpath: str) -> Optional[ParsedModule]:
         """Look up one module by repository-relative path (or ``None``)."""
         self.modules()
@@ -109,11 +91,7 @@ class LintContext:
     def _parse(self, path: Path) -> ParsedModule:
         source = path.read_text(encoding="utf-8")
         relpath = path.relative_to(self.root).as_posix()
-        src_dir = self.root / "src"
-        if path.is_relative_to(src_dir):
-            parts = path.relative_to(src_dir).with_suffix("").parts
-        else:
-            parts = path.relative_to(self.root).with_suffix("").parts
+        parts = path.relative_to(self.root / "src").with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
         return ParsedModule(

@@ -6,8 +6,7 @@ Two levels of forensics for one query:
   BuildDAG + BuildCS — and reports the decisions the paper's heuristics
   made: the chosen root and why, the DAG orientation, candidate-set
   sizes per refinement step, and the weight array driving the path-size
-  order.  This is the :class:`QueryPlan` that historically lived at
-  ``repro.core.explain`` (still importable from there, deprecated).
+  order: a :class:`QueryPlan`.
 - :func:`explain_analyze` (EXPLAIN ANALYZE) additionally *runs* the
   search under a dedicated :class:`~repro.obs.MetricsRegistry` and joins
   the plan with the actuals — per-query-vertex extensions, conflicts,

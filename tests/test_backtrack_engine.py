@@ -155,7 +155,7 @@ class TestAdaptivity:
         # the streaming callback and leaf_decomposition off so both X and
         # Y go through the adaptive selector.
         matcher = DAFMatcher(MatchConfig(leaf_decomposition=False))
-        result = matcher.match(query, data, limit=10**6)
+        result = matcher.match(MatchRequest(query, data, options=MatchOptions(limit=10**6)))
         by_root: dict[int, set[int]] = {}
         for embedding in result.embeddings:
             by_root.setdefault(embedding[0], set()).add(embedding)
@@ -179,15 +179,15 @@ class TestHomomorphismMode:
         data = Graph(labels=["X", "Y"], edges=[(0, 1)])
         query = Graph(labels=["X", "Y", "X"], edges=[(0, 1), (1, 2)])
         cfg = MatchConfig(injective=False)
-        result = DAFMatcher(cfg).match(query, data)
+        result = DAFMatcher(cfg).match(MatchRequest(query, data))
         assert result.count == 1
         assert result.embeddings == [(0, 1, 0)]
 
     def test_homomorphism_with_leaves(self):
         data = star_graph("H", ["L", "L"])
         query = star_graph("H", ["L", "L", "L"])
-        injective = DAFMatcher().match(query, data).count
-        folded = DAFMatcher(MatchConfig(injective=False)).match(query, data).count
+        injective = DAFMatcher().match(MatchRequest(query, data)).count
+        folded = DAFMatcher(MatchConfig(injective=False)).match(MatchRequest(query, data)).count
         assert injective == 0  # needs 3 distinct leaves
         assert folded == 8  # 2^3 label-preserving maps
 
@@ -195,7 +195,7 @@ class TestHomomorphismMode:
         data = star_graph("H", ["L", "L"])
         query = star_graph("H", ["L", "L", "L"])
         cfg = MatchConfig(injective=False, collect_embeddings=False)
-        assert DAFMatcher(cfg).match(query, data).count == 8
+        assert DAFMatcher(cfg).match(MatchRequest(query, data)).count == 8
 
 
 # ----------------------------------------------------------------------

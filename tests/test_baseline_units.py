@@ -27,7 +27,7 @@ from repro.baselines.turboiso import (
 from repro.baselines.ullmann import ullmann_refine
 from repro.core.filters import passes_neighborhood_label_frequency
 from repro.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
-from repro.interfaces import Deadline
+from repro.interfaces import Deadline, MatchOptions, MatchRequest
 
 
 class TestGenericBacktracker:
@@ -242,7 +242,9 @@ class TestCFL:
         for _ in range(10):
             query, data = random_graph_case(rng)
             cpi = build_cpi(query, data)
-            for embedding in BruteForceMatcher().match(query, data, limit=50).embeddings:
+            for embedding in BruteForceMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=50))
+            ).embeddings:
                 for u in query.vertices():
                     assert embedding[u] in cpi.candidates[u]
 

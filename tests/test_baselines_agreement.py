@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro import DAFMatcher, MatchConfig
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.baselines import (
     ALL_BASELINES,
     BruteForceMatcher,
@@ -39,9 +39,13 @@ def test_all_matchers_agree_on_random_corpus(seed):
     matchers = all_matchers()
     for _ in range(6):
         query, data = random_graph_case(rng, max_vertices=14, max_query=6)
-        expected = sorted(BruteForceMatcher().match(query, data, limit=10**6).embeddings)
+        expected = sorted(BruteForceMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+        ).embeddings)
         for name, matcher in matchers.items():
-            got = sorted(matcher.match(query, data, limit=10**6).embeddings)
+            got = sorted(matcher.match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
+            ).embeddings)
             assert got == expected, (name, len(got), len(expected))
 
 
@@ -67,12 +71,16 @@ def test_all_matchers_agree_on_random_corpus(seed):
 )
 def test_known_counts(query, data, expected_count):
     for name, matcher in all_matchers().items():
-        assert matcher.match(query, data, limit=10**6).count == expected_count, name
+        assert matcher.match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+        ).count == expected_count, name
 
 
 def test_limit_respected_by_all_matchers(rng):
     query, data = random_graph_case(rng)
-    full = BruteForceMatcher().match(query, data, limit=10**6).count
+    full = BruteForceMatcher().match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**6))
+    ).count
     if full < 3:
         pytest.skip("instance too small to exercise limits")
     for name, matcher in all_matchers().items():
@@ -84,7 +92,7 @@ def test_limit_respected_by_all_matchers(rng):
 def test_matchers_handle_negative_queries(triangle_data):
     query = Graph(labels=["A", "Z"], edges=[(0, 1)])
     for name, matcher in all_matchers().items():
-        assert matcher.match(query, triangle_data).count == 0, name
+        assert matcher.match(MatchRequest(query, triangle_data)).count == 0, name
 
 
 def test_matchers_handle_single_vertex(triangle_data):
@@ -93,15 +101,21 @@ def test_matchers_handle_single_vertex(triangle_data):
         if name in ("TurboISO", "CFL-Match"):
             # Tree/region algorithms accept single-vertex queries too.
             pass
-        assert sorted(matcher.match(query, triangle_data).embeddings) == [(1,), (2,)], name
+        assert sorted(matcher.match(
+            MatchRequest(query, triangle_data)
+        ).embeddings) == [(1,), (2,)], name
 
 
 def test_parallel_matcher_agrees(rng):
     for _ in range(4):
         query, data = random_graph_case(rng)
-        expected = sorted(BruteForceMatcher().match(query, data, limit=10**6).embeddings)
+        expected = sorted(BruteForceMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+        ).embeddings)
         got = sorted(
-            ParallelDAFMatcher(num_workers=2).match(query, data, limit=10**6).embeddings
+            ParallelDAFMatcher(num_workers=2).match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
+            ).embeddings
         )
         assert got == expected
 
@@ -111,7 +125,7 @@ def test_recursion_counts_ordering_on_trap(cartesian_trap):
     matchers must examine more nodes than DAF (whose CS kills the trap in
     preprocessing)."""
     query, data = cartesian_trap
-    daf = DAFMatcher(MatchConfig(collect_embeddings=False)).match(query, data)
-    vf2 = VF2Matcher().match(query, data)
+    daf = DAFMatcher(MatchConfig(collect_embeddings=False)).match(MatchRequest(query, data))
+    vf2 = VF2Matcher().match(MatchRequest(query, data))
     assert daf.count == vf2.count
     assert daf.stats.recursive_calls <= vf2.stats.recursive_calls

@@ -26,7 +26,9 @@ class TestSoundness:
         for _ in range(20):
             query, data = random_graph_case(rng)
             cs = build_cs(query, data)
-            embeddings = BruteForceMatcher().match(query, data, limit=200).embeddings
+            embeddings = BruteForceMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=200))
+            ).embeddings
             for embedding in embeddings:
                 for u in query.vertices():
                     assert embedding[u] in cs.candidate_index[u], (
@@ -37,7 +39,9 @@ class TestSoundness:
         for _ in range(10):
             query, data = random_graph_case(rng)
             cs = build_cs(query, data, refine_to_fixpoint=True)
-            embeddings = BruteForceMatcher().match(query, data, limit=100).embeddings
+            embeddings = BruteForceMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=100))
+            ).embeddings
             for embedding in embeddings:
                 for u in query.vertices():
                     assert embedding[u] in cs.candidate_index[u]
@@ -65,8 +69,12 @@ class TestEquivalence:
 
         for _ in range(15):
             query, data = random_graph_case(rng)
-            via_cs = sorted(DAFMatcher().match(query, data, limit=10**6).embeddings)
-            via_g = sorted(BruteForceMatcher().match(query, data, limit=10**6).embeddings)
+            via_cs = sorted(DAFMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
+            ).embeddings)
+            via_g = sorted(BruteForceMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
+            ).embeddings)
             assert via_cs == via_g
 
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import explain
+from repro import MatchOptions, MatchRequest
 from repro.graph import Graph, star_graph
 from repro.graph.nx_interop import from_networkx, match_networkx, to_networkx
+from repro.obs.explain import explain
 from tests.conftest import random_graph_case
 
 
@@ -119,6 +120,8 @@ class TestNetworkxInterop:
         query, data = random_graph_case(rng)
         from repro import DAFMatcher
 
-        direct = DAFMatcher().match(query, data, limit=10**6).count
+        direct = DAFMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+        ).count
         via_nx = len(match_networkx(to_networkx(query), to_networkx(data), limit=10**6))
         assert via_nx == direct

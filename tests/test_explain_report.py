@@ -14,7 +14,6 @@ The load-bearing invariants:
 
 import io
 import json
-import warnings
 from contextlib import redirect_stdout
 
 import pytest
@@ -276,20 +275,6 @@ class TestWiring:
         assert by_tag["x"].status == "ok" and by_tag["y"].status == "ok"
         assert isinstance(by_tag["x"].result.explain, ExplainReport)
         assert by_tag["y"].result.explain is None
-
-    def test_core_explain_shim_warns_and_matches(self):
-        import importlib
-
-        import repro.core.explain as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(shim)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        from repro.obs.explain import QueryPlan as real_plan, explain as real_explain
-
-        assert shim.explain is real_explain
-        assert shim.QueryPlan is real_plan
 
 
 class TestFeatures:

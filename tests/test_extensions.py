@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import DAFMatcher, MatchConfig
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.baselines import BruteForceMatcher
 from repro.extensions import (
     BoostedDAFMatcher,
@@ -72,23 +72,52 @@ class TestBoostedMatcher:
     def test_agrees_with_bruteforce_random(self, rng):
         for _ in range(10):
             query, data = random_graph_case(rng)
-            expected = sorted(BruteForceMatcher().match(query, data, limit=10**6).embeddings)
-            got = sorted(BoostedDAFMatcher().match(query, data, limit=10**6).embeddings)
+            expected = sorted(BruteForceMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
+            ).embeddings)
+            got = sorted(BoostedDAFMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
+            ).embeddings)
             assert got == expected
 
     def test_counting_mode_expansion(self):
         data = star_graph("H", ["L"] * 7)
         query = star_graph("H", ["L"] * 2)
         matcher = BoostedDAFMatcher(MatchConfig(collect_embeddings=False))
-        assert matcher.match(query, data, limit=10**6).count == 7 * 6
+        assert matcher.match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+        ).count == 7 * 6
 
     def test_limit_respected_mid_expansion(self):
         data = star_graph("H", ["L"] * 10)
         query = star_graph("H", ["L"] * 2)
-        result = BoostedDAFMatcher().match(query, data, limit=5)
+        result = BoostedDAFMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=5))
+        )
         assert result.count == 5
         assert result.limit_reached
         assert len(result.embeddings) == 5
+
+    def test_time_limit_bounds_one_large_expansion(self):
+        """One compressed embedding that expands into 120 * 119 * 118
+        real ones still honours time_limit: each expansion polls the
+        deadline, and the timeout returns what was streamed so far."""
+        data = star_graph("H", ["L"] * 120)
+        query = star_graph("H", ["L"] * 3)
+        streamed = []
+
+        def on_embedding(embedding):
+            if not streamed:
+                streamed.append(embedding)
+
+        options = MatchOptions(limit=10**9, time_limit=0.05, on_embedding=on_embedding)
+        result = BoostedDAFMatcher(MatchConfig(collect_embeddings=False)).match(
+            MatchRequest(query, data, options=options)
+        )
+        assert result.timed_out
+        assert streamed
+        assert not result.limit_reached
+        assert result.stats.embeddings_found < 120 * 119 * 118
 
     def test_fewer_calls_on_compressible_graph(self):
         """On a highly SE-compressible graph the boosted search examines
@@ -96,8 +125,10 @@ class TestBoostedMatcher:
         data = star_graph("H", ["L"] * 60)
         query = star_graph("H", ["L"] * 3)
         cfg = MatchConfig(collect_embeddings=False, leaf_decomposition=False)
-        plain = DAFMatcher(cfg).match(query, data, limit=10**9)
-        boosted = BoostedDAFMatcher(cfg).match(query, data, limit=10**9)
+        plain = DAFMatcher(cfg).match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
+        boosted = BoostedDAFMatcher(cfg).match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**9))
+        )
         assert boosted.count == plain.count
         assert boosted.stats.recursive_calls < plain.stats.recursive_calls / 5
 
@@ -106,20 +137,22 @@ class TestBoostedMatcher:
         q = star_graph("H", ["L"])
         for _ in range(5):
             data = star_graph("H", ["L"] * 3)
-            assert matcher.match(q, data).count == 3
+            assert matcher.match(MatchRequest(q, data)).count == 3
 
     def test_negative_query(self, triangle_data):
         query = Graph(labels=["Z", "A"], edges=[(0, 1)])
-        assert BoostedDAFMatcher().match(query, triangle_data).count == 0
+        assert BoostedDAFMatcher().match(MatchRequest(query, triangle_data)).count == 0
 
     def test_capacity_leaf_counting_matches_enumeration(self):
         """Counting mode's slot-based leaf counter equals enumeration."""
         data = star_graph("H", ["L"] * 25 + ["M"] * 4)
         query = star_graph("H", ["L", "L", "M"])
         counted = BoostedDAFMatcher(MatchConfig(collect_embeddings=False)).match(
-            query, data, limit=10**9
+            MatchRequest(query, data, options=MatchOptions(limit=10**9))
         )
-        enumerated = BoostedDAFMatcher().match(query, data, limit=10**9)
+        enumerated = BoostedDAFMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**9))
+        )
         assert counted.count == enumerated.count == 25 * 24 * 4
         # The slot counter skips per-leaf enumeration entirely.
         assert counted.stats.recursive_calls < enumerated.stats.recursive_calls
@@ -131,7 +164,7 @@ class TestBoostedMatcher:
             query, data = random_graph_case(rng)
             expected = count_embeddings(query, data, limit=10**6)
             got = BoostedDAFMatcher(MatchConfig(collect_embeddings=False)).match(
-                query, data, limit=10**6
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
             ).count
             assert got == expected
 
@@ -151,23 +184,33 @@ class TestParallel:
 
     def test_single_worker_inline(self, rng):
         query, data = random_graph_case(rng)
-        expected = sorted(DAFMatcher().match(query, data, limit=10**6).embeddings)
-        got = sorted(ParallelDAFMatcher(num_workers=1).match(query, data, limit=10**6).embeddings)
+        expected = sorted(DAFMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+        ).embeddings)
+        got = sorted(ParallelDAFMatcher(num_workers=1).match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+        ).embeddings)
         assert got == expected
 
     def test_two_workers_agree(self, rng):
         for _ in range(5):
             query, data = random_graph_case(rng)
-            expected = sorted(BruteForceMatcher().match(query, data, limit=10**6).embeddings)
+            expected = sorted(BruteForceMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
+            ).embeddings)
             got = sorted(
-                ParallelDAFMatcher(num_workers=2).match(query, data, limit=10**6).embeddings
+                ParallelDAFMatcher(num_workers=2).match(
+                    MatchRequest(query, data, options=MatchOptions(limit=10**6))
+                ).embeddings
             )
             assert got == expected
 
     def test_limit_truncated_on_merge(self):
         data = complete_graph(["A"] * 6)
         query = complete_graph(["A"] * 3)
-        result = ParallelDAFMatcher(num_workers=2).match(query, data, limit=7)
+        result = ParallelDAFMatcher(num_workers=2).match(
+            MatchRequest(query, data, options=MatchOptions(limit=7))
+        )
         assert result.count == 7
         assert len(result.embeddings) == 7
         assert result.limit_reached
@@ -176,13 +219,13 @@ class TestParallel:
         query, data = random_graph_case(rng)
         seen = []
         result = ParallelDAFMatcher(num_workers=2).match(
-            query, data, limit=10**6, on_embedding=seen.append
+            MatchRequest(query, data, options=MatchOptions(limit=10**6, on_embedding=seen.append))
         )
         assert sorted(seen) == sorted(result.embeddings)
 
     def test_negative_query_short_circuits(self, triangle_data):
         query = Graph(labels=["Z", "A"], edges=[(0, 1)])
-        result = ParallelDAFMatcher(num_workers=2).match(query, triangle_data)
+        result = ParallelDAFMatcher(num_workers=2).match(MatchRequest(query, triangle_data))
         assert result.count == 0
 
     def test_name_reflects_configuration(self):

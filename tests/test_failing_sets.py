@@ -7,7 +7,7 @@ irrelevant to a failure must be skipped.
 
 import random
 
-from repro import DAFMatcher, MatchConfig
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.baselines import BruteForceMatcher
 from repro.graph import Graph
 from tests.conftest import random_graph_case
@@ -64,10 +64,10 @@ class TestCorrectness:
         for _ in range(25):
             query, data = random_graph_case(rng)
             with_fs = DAFMatcher(MatchConfig(use_failing_sets=True)).match(
-                query, data, limit=10**6
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
             )
             without_fs = DAFMatcher(MatchConfig(use_failing_sets=False)).match(
-                query, data, limit=10**6
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
             )
             assert sorted(with_fs.embeddings) == sorted(without_fs.embeddings)
 
@@ -75,19 +75,23 @@ class TestCorrectness:
         for _ in range(25):
             query, data = random_graph_case(rng)
             with_fs = DAFMatcher(MatchConfig(use_failing_sets=True)).match(
-                query, data, limit=10**6
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
             )
             without_fs = DAFMatcher(MatchConfig(use_failing_sets=False)).match(
-                query, data, limit=10**6
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
             )
             assert with_fs.stats.recursive_calls <= without_fs.stats.recursive_calls
 
     def test_correct_under_both_orders(self, rng):
         for _ in range(10):
             query, data = random_graph_case(rng)
-            expected = sorted(BruteForceMatcher().match(query, data, limit=10**6).embeddings)
+            expected = sorted(BruteForceMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
+            ).embeddings)
             for order in ("path", "candidate"):
-                result = DAFMatcher(MatchConfig(order=order)).match(query, data, limit=10**6)
+                result = DAFMatcher(MatchConfig(order=order)).match(
+                    MatchRequest(query, data, options=MatchOptions(limit=10**6))
+                )
                 assert sorted(result.embeddings) == expected
 
 
@@ -98,10 +102,14 @@ class TestEffectiveness:
         )
         da = DAFMatcher(
             MatchConfig(use_failing_sets=False, leaf_decomposition=False)
-        ).match(query, data, limit=10**6)
+        ).match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+        )
         daf = DAFMatcher(
             MatchConfig(use_failing_sets=True, leaf_decomposition=False)
-        ).match(query, data, limit=10**6)
+        ).match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+        )
         assert da.count == daf.count == 0
         # Without pruning, every C candidate replays the doomed (A, B)
         # sub-search (~k*m nodes); with failing sets only the first one
@@ -124,12 +132,16 @@ class TestEffectiveness:
             cfg = dict(leaf_decomposition=False)
             daf_calls.append(
                 DAFMatcher(MatchConfig(use_failing_sets=True, **cfg))
-                .match(query, data)
+                .match(
+                    MatchRequest(query, data)
+                )
                 .stats.recursive_calls
             )
             da_calls.append(
                 DAFMatcher(MatchConfig(use_failing_sets=False, **cfg))
-                .match(query, data)
+                .match(
+                    MatchRequest(query, data)
+                )
                 .stats.recursive_calls
             )
         # DA replays the doomed O(m) sub-search per extra C-candidate.
@@ -143,7 +155,7 @@ class TestLeafClasses:
         branch immediately (no embeddings, few calls)."""
         data = Graph(labels=["R", "A"], edges=[(0, 1)])
         query = Graph(labels=["R", "A", "A"], edges=[(0, 1), (0, 2)])
-        result = DAFMatcher().match(query, data)
+        result = DAFMatcher().match(MatchRequest(query, data))
         assert result.count == 0
 
     def test_conflict_class_with_injectivity(self):
@@ -152,14 +164,14 @@ class TestLeafClasses:
         # Query: R with two A neighbors that are also adjacent -> both As
         # must map to the single data A: impossible injectively.
         query = Graph(labels=["R", "A", "A"], edges=[(0, 1), (0, 2), (1, 2)])
-        result = DAFMatcher().match(query, data)
+        result = DAFMatcher().match(MatchRequest(query, data))
         assert result.count == 0
 
     def test_homomorphism_mode_allows_conflicts(self):
         data = Graph(labels=["R", "A"], edges=[(0, 1)])
         query = Graph(labels=["R", "A", "A"], edges=[(0, 1), (0, 2)])
-        injective = DAFMatcher(MatchConfig(injective=True)).match(query, data)
-        homomorphic = DAFMatcher(MatchConfig(injective=False)).match(query, data)
+        injective = DAFMatcher(MatchConfig(injective=True)).match(MatchRequest(query, data))
+        homomorphic = DAFMatcher(MatchConfig(injective=False)).match(MatchRequest(query, data))
         assert injective.count == 0
         assert homomorphic.count == 1  # both As land on the same data A
 
@@ -177,7 +189,9 @@ class TestLeafClasses:
                                 order=order,
                                 leaf_decomposition=leaf,
                             )
-                        ).match(query, data, limit=10**6)
+                        ).match(
+                            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+                        )
                         key = sorted(result.embeddings)
                         if reference is None:
                             reference = key

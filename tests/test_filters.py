@@ -1,5 +1,6 @@
 """Unit tests for local candidate filters (C_ini, MND, NLF)."""
 
+from repro import MatchOptions, MatchRequest
 from repro.core import (
     initial_candidate_count,
     initial_candidates,
@@ -76,7 +77,9 @@ class TestCombined:
 
         for _ in range(10):
             query, data = random_graph_case(rng)
-            result = BruteForceMatcher().match(query, data, limit=20)
+            result = BruteForceMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=20))
+            )
             for embedding in result.embeddings:
                 for u in query.vertices():
                     v = embedding[u]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import DAFMatcher, MatchConfig
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.general import (
     BRIDGE_LABEL,
     DisconnectedDAFMatcher,
@@ -75,7 +75,7 @@ class TestDisconnectedMatcher:
     def test_two_isolated_vertices(self):
         query = Graph(labels=["A", "B"], edges=[])
         data = Graph(labels=["A", "B", "B"], edges=[(0, 1)])
-        result = DisconnectedDAFMatcher().match(query, data)
+        result = DisconnectedDAFMatcher().match(MatchRequest(query, data))
         assert sorted(result.embeddings) == [(0, 1), (0, 2)]
 
     def test_injectivity_across_components(self):
@@ -83,14 +83,16 @@ class TestDisconnectedMatcher:
         vertices: ordered pairs, not the Cartesian square."""
         query = Graph(labels=["A", "A"], edges=[])
         data = Graph(labels=["A", "A", "A"], edges=[(0, 1), (1, 2)])
-        result = DisconnectedDAFMatcher().match(query, data)
+        result = DisconnectedDAFMatcher().match(MatchRequest(query, data))
         assert result.count == 3 * 2  # ordered injective pairs
 
     def test_two_edge_components(self):
         query = Graph(labels=["A", "B", "A", "B"], edges=[(0, 1), (2, 3)])
         data = complete_graph(["A", "B", "A", "B"])
         expected = disconnected_oracle(query, data)
-        got = sorted(DisconnectedDAFMatcher().match(query, data, limit=10**6).embeddings)
+        got = sorted(DisconnectedDAFMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**6))
+        ).embeddings)
         assert got == expected
 
     def test_random_two_component_queries(self, rng):
@@ -113,25 +115,31 @@ class TestDisconnectedMatcher:
             query.freeze()
             expected = disconnected_oracle(query, data)
             got = sorted(
-                DisconnectedDAFMatcher().match(query, data, limit=10**6).embeddings
+                DisconnectedDAFMatcher().match(
+                    MatchRequest(query, data, options=MatchOptions(limit=10**6))
+                ).embeddings
             )
             assert got == expected
 
     def test_connected_query_delegates(self, edge_query, triangle_data):
-        result = DisconnectedDAFMatcher().match(edge_query, triangle_data)
+        result = DisconnectedDAFMatcher().match(MatchRequest(edge_query, triangle_data))
         assert result.count == 2
 
     def test_callback_strips_bridge(self):
         query = Graph(labels=["A", "B"], edges=[])
         data = Graph(labels=["A", "B"], edges=[(0, 1)])
         seen = []
-        DisconnectedDAFMatcher().match(query, data, on_embedding=seen.append)
+        DisconnectedDAFMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(on_embedding=seen.append))
+        )
         assert seen == [(0, 1)]
 
     def test_limit_respected(self):
         query = Graph(labels=["A", "A"], edges=[])
         data = Graph(labels=["A"] * 5, edges=[(i, i + 1) for i in range(4)])
-        result = DisconnectedDAFMatcher().match(query, data, limit=3)
+        result = DisconnectedDAFMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=3))
+        )
         assert result.count == 3
         assert result.limit_reached
 

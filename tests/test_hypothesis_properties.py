@@ -20,7 +20,7 @@ from collections import Counter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import DAFMatcher, MatchConfig, is_embedding
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest, is_embedding
 from repro.baselines import BruteForceMatcher
 from repro.core import (
     build_candidate_space,
@@ -194,7 +194,9 @@ def test_cs_soundness(instance):
     query, data = instance
     dag = build_dag(query, data)
     cs = build_candidate_space(query, data, dag, refine_to_fixpoint=True)
-    embeddings = BruteForceMatcher().match(query, data, limit=500).embeddings
+    embeddings = BruteForceMatcher().match(
+        MatchRequest(query, data, options=MatchOptions(limit=500))
+    ).embeddings
     for embedding in embeddings:
         for u in query.vertices():
             assert embedding[u] in cs.candidate_index[u]
@@ -204,9 +206,13 @@ def test_cs_soundness(instance):
 @given(matching_instances())
 def test_daf_equals_bruteforce(instance):
     query, data = instance
-    expected = sorted(BruteForceMatcher().match(query, data, limit=10**5).embeddings)
+    expected = sorted(BruteForceMatcher().match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
+    ).embeddings)
     assert expected, "planted instance must embed"
-    got = sorted(DAFMatcher().match(query, data, limit=10**5).embeddings)
+    got = sorted(DAFMatcher().match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
+    ).embeddings)
     assert got == expected
     for embedding in got:
         assert is_embedding(embedding, query, data)
@@ -216,8 +222,12 @@ def test_daf_equals_bruteforce(instance):
 @given(matching_instances())
 def test_failing_sets_preserve_results_and_never_add_work(instance):
     query, data = instance
-    with_fs = DAFMatcher(MatchConfig(use_failing_sets=True)).match(query, data, limit=10**5)
-    without_fs = DAFMatcher(MatchConfig(use_failing_sets=False)).match(query, data, limit=10**5)
+    with_fs = DAFMatcher(MatchConfig(use_failing_sets=True)).match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
+    )
+    without_fs = DAFMatcher(MatchConfig(use_failing_sets=False)).match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
+    )
     assert sorted(with_fs.embeddings) == sorted(without_fs.embeddings)
     assert with_fs.stats.recursive_calls <= without_fs.stats.recursive_calls
 
@@ -226,9 +236,11 @@ def test_failing_sets_preserve_results_and_never_add_work(instance):
 @given(matching_instances())
 def test_homomorphisms_superset_of_embeddings(instance):
     query, data = instance
-    embeddings = DAFMatcher().match(query, data, limit=10**5).count
+    embeddings = DAFMatcher().match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
+    ).count
     homomorphisms = DAFMatcher(MatchConfig(injective=False)).match(
-        query, data, limit=10**5
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
     ).count
     assert homomorphisms >= embeddings
 
@@ -262,8 +274,12 @@ def test_boost_round_trips_embeddings(instance):
     from repro.extensions import BoostedDAFMatcher
 
     query, data = instance
-    expected = sorted(DAFMatcher().match(query, data, limit=10**5).embeddings)
-    got = sorted(BoostedDAFMatcher().match(query, data, limit=10**5).embeddings)
+    expected = sorted(DAFMatcher().match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
+    ).embeddings)
+    got = sorted(BoostedDAFMatcher().match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
+    ).embeddings)
     assert got == expected
 
 
@@ -271,8 +287,8 @@ def test_boost_round_trips_embeddings(instance):
 @given(matching_instances(), st.integers(1, 5))
 def test_limit_is_exact(instance, limit):
     query, data = instance
-    total = DAFMatcher().match(query, data, limit=10**5).count
-    result = DAFMatcher().match(query, data, limit=limit)
+    total = DAFMatcher().match(MatchRequest(query, data, options=MatchOptions(limit=10**5))).count
+    result = DAFMatcher().match(MatchRequest(query, data, options=MatchOptions(limit=limit)))
     assert result.count == min(limit, total)
 
 
@@ -326,6 +342,10 @@ def test_disconnected_wrapper_matches_direct_on_connected(instance):
     from repro.general import DisconnectedDAFMatcher
 
     query, data = instance
-    direct = sorted(DAFMatcher().match(query, data, limit=10**5).embeddings)
-    wrapped = sorted(DisconnectedDAFMatcher().match(query, data, limit=10**5).embeddings)
+    direct = sorted(DAFMatcher().match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
+    ).embeddings)
+    wrapped = sorted(DisconnectedDAFMatcher().match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
+    ).embeddings)
     assert wrapped == direct

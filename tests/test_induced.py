@@ -6,7 +6,7 @@ non-edges.  Verified against a brute-force induced oracle.
 
 import pytest
 
-from repro import DAFMatcher, MatchConfig
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.baselines import BruteForceMatcher
 from repro.graph import Graph, complete_graph, cycle_graph, path_graph
 from repro.interfaces import is_induced_embedding
@@ -17,7 +17,9 @@ def induced_oracle(query, data, limit=10**6):
     """Brute force + non-edge filtering."""
     return sorted(
         e
-        for e in BruteForceMatcher().match(query, data, limit=limit).embeddings
+        for e in BruteForceMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=limit))
+        ).embeddings
         if is_induced_embedding(e, query, data)
     )
 
@@ -28,15 +30,15 @@ class TestSemantics:
         # induced one (the endpoints are always adjacent in K3).
         data = complete_graph(["A"] * 3)
         query = path_graph(["A"] * 3)
-        plain = DAFMatcher().match(query, data)
-        induced = DAFMatcher(MatchConfig(induced=True)).match(query, data)
+        plain = DAFMatcher().match(MatchRequest(query, data))
+        induced = DAFMatcher(MatchConfig(induced=True)).match(MatchRequest(query, data))
         assert plain.count == 6
         assert induced.count == 0
 
     def test_path_induced_in_path(self):
         data = path_graph(["A"] * 4)
         query = path_graph(["A"] * 3)
-        induced = DAFMatcher(MatchConfig(induced=True)).match(query, data)
+        induced = DAFMatcher(MatchConfig(induced=True)).match(MatchRequest(query, data))
         # Two placements x two directions.
         assert induced.count == 4
 
@@ -44,20 +46,20 @@ class TestSemantics:
         # C4 in K4: every C4 image has chords -> zero induced embeddings.
         data = complete_graph(["A"] * 4)
         query = cycle_graph(["A"] * 4)
-        assert DAFMatcher(MatchConfig(induced=True)).match(query, data).count == 0
-        assert DAFMatcher().match(query, data).count == 24
+        assert DAFMatcher(MatchConfig(induced=True)).match(MatchRequest(query, data)).count == 0
+        assert DAFMatcher().match(MatchRequest(query, data)).count == 24
 
     def test_single_vertex_unaffected(self, triangle_data):
         query = Graph(labels=["B"], edges=[])
-        result = DAFMatcher(MatchConfig(induced=True)).match(query, triangle_data)
+        result = DAFMatcher(MatchConfig(induced=True)).match(MatchRequest(query, triangle_data))
         assert result.count == 2
 
     def test_clique_queries_unchanged(self, rng):
         """For complete queries, induced == plain (no non-edges)."""
         data = complete_graph(["A"] * 6)
         query = complete_graph(["A"] * 3)
-        plain = DAFMatcher().match(query, data).count
-        induced = DAFMatcher(MatchConfig(induced=True)).match(query, data).count
+        plain = DAFMatcher().match(MatchRequest(query, data)).count
+        induced = DAFMatcher(MatchConfig(induced=True)).match(MatchRequest(query, data)).count
         assert plain == induced == 6 * 5 * 4
 
 
@@ -67,7 +69,9 @@ class TestAgreement:
             query, data = random_graph_case(rng)
             expected = induced_oracle(query, data)
             got = sorted(
-                DAFMatcher(MatchConfig(induced=True)).match(query, data, limit=10**6).embeddings
+                DAFMatcher(MatchConfig(induced=True)).match(
+                    MatchRequest(query, data, options=MatchOptions(limit=10**6))
+                ).embeddings
             )
             assert got == expected
 
@@ -75,10 +79,10 @@ class TestAgreement:
         for _ in range(15):
             query, data = random_graph_case(rng)
             with_fs = DAFMatcher(MatchConfig(induced=True, use_failing_sets=True)).match(
-                query, data, limit=10**6
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
             )
             without_fs = DAFMatcher(MatchConfig(induced=True, use_failing_sets=False)).match(
-                query, data, limit=10**6
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
             )
             assert sorted(with_fs.embeddings) == sorted(without_fs.embeddings)
             assert with_fs.stats.recursive_calls <= without_fs.stats.recursive_calls
@@ -86,7 +90,9 @@ class TestAgreement:
     def test_every_result_is_induced(self, rng):
         for _ in range(10):
             query, data = random_graph_case(rng)
-            result = DAFMatcher(MatchConfig(induced=True)).match(query, data, limit=200)
+            result = DAFMatcher(MatchConfig(induced=True)).match(
+                MatchRequest(query, data, options=MatchOptions(limit=200))
+            )
             for embedding in result.embeddings:
                 assert is_induced_embedding(embedding, query, data)
 
@@ -95,7 +101,9 @@ class TestAgreement:
             query, data = random_graph_case(rng)
             expected = len(induced_oracle(query, data))
             cfg = MatchConfig(induced=True, collect_embeddings=False)
-            assert DAFMatcher(cfg).match(query, data, limit=10**6).count == expected
+            assert DAFMatcher(cfg).match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
+            ).count == expected
 
 
 class TestValidation:

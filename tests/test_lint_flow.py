@@ -253,14 +253,14 @@ class TestBaseline:
         baseline = Baseline(
             [
                 BaselineEntry("DET001", "src/x.py", fingerprint(f), "known"),
-                BaselineEntry("BUD001", "src/y.py", "deadbeefdeadbeef", "gone"),
+                BaselineEntry("BUD002", "src/y.py", "deadbeefdeadbeef", "gone"),
             ]
         )
-        result = baseline.apply([f], ran_ids={"DET001", "BUD001"}, baseline_relpath=".lint-baseline.json")
+        result = baseline.apply([f], ran_ids={"DET001", "BUD002"}, baseline_relpath=".lint-baseline.json")
         assert result.suppressed == 1
         assert result.stale == 1
         assert [x.check_id for x in result.active] == ["BASELINE"]
-        # A select run that never ran BUD001 must not call its entry stale.
+        # A select run that never ran BUD002 must not call its entry stale.
         result = baseline.apply([f], ran_ids={"DET001"}, baseline_relpath=".lint-baseline.json")
         assert result.stale == 0 and result.active == []
 
@@ -356,15 +356,32 @@ class TestMutationSmoke:
         assert [f.check_id for f in findings] == ["BUD002"]
         assert "tick-free iteration path" in findings[0].message
 
-    def test_deleting_tick_entirely_is_caught_by_bud001(self, tmp_path):
+    def test_deleting_tick_entirely_is_caught_by_bud002(self, tmp_path):
         root = _mutate_tree(
             tmp_path,
             "src/repro/baselines/demo.py",
             "            deadline.tick()\n            frontier.pop()",
             "            frontier.pop()",
         )
-        findings = run_lint(root=root, select=["BUD001", "BUD002"])
-        assert findings and all(f.check_id == "BUD001" for f in findings)
+        findings = run_lint(root=root, select=["BUD002"])
+        assert [f.check_id for f in findings] == ["BUD002"]
+        assert "_drain" in findings[0].message
+
+    def test_untolled_step_helper_is_caught_by_bud002(self, tmp_path):
+        # A loop-free step helper driven from elsewhere: no loop or
+        # recursion path to check, but it counts a search step unmetered.
+        root = _mutate_tree(
+            tmp_path,
+            "src/repro/baselines/demo.py",
+            "        while frontier:\n"
+            "            stats.recursive_calls += 1\n"
+            "            deadline.tick()\n"
+            "            frontier.pop()",
+            "        stats.recursive_calls += 1\n        frontier.pop()",
+        )
+        findings = run_lint(root=root, select=["BUD002"])
+        assert [(f.check_id, f.line) for f in findings] == [("BUD002", 32)]
+        assert "never polls a budget" in findings[0].message
 
     def test_pickling_a_lambda_is_caught_by_frk001(self, tmp_path):
         root = _mutate_tree(

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro import DAFMatcher, MatchConfig
+from repro import DAFMatcher, MatchConfig, MatchRequest
 from repro.baselines import ALL_BASELINES
 from repro.bench import (
     SMOKE,
@@ -295,7 +295,9 @@ class TestAttribution:
         result = (
             DAFMatcher(MatchConfig(collect_embeddings=False))
             .with_observer(registry)
-            .match(query, data)
+            .match(
+                MatchRequest(query, data)
+            )
         )
         assert result.count > 0
         self.check_invariants(registry.snapshot())
@@ -304,7 +306,7 @@ class TestAttribution:
         query, data = paper_worked_example()
         for name, cls in ALL_BASELINES.items():
             registry = MetricsRegistry()
-            cls().with_observer(registry).match(query, data)
+            cls().with_observer(registry).match(MatchRequest(query, data))
             snapshot = registry.snapshot()
             sums = attribution_sums(snapshot)
             assert sums["entered"] == snapshot["counters"]["children_entered"], name
@@ -318,8 +320,10 @@ class TestAttribution:
     def test_results_identical_with_observer_off(self):
         # Zero-overhead contract: attribution must not perturb the search.
         query, data = paper_worked_example()
-        plain = DAFMatcher(MatchConfig()).match(query, data)
-        observed = DAFMatcher(MatchConfig()).with_observer(MetricsRegistry()).match(query, data)
+        plain = DAFMatcher(MatchConfig()).match(MatchRequest(query, data))
+        observed = DAFMatcher(MatchConfig()).with_observer(MetricsRegistry()).match(
+            MatchRequest(query, data)
+        )
         assert sorted(plain.embeddings) == sorted(observed.embeddings)
         assert plain.stats.recursive_calls == observed.stats.recursive_calls
         assert plain.stats.metrics is None

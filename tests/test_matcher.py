@@ -5,6 +5,8 @@ import pytest
 from repro import (
     DAFMatcher,
     MatchConfig,
+    MatchOptions,
+    MatchRequest,
     count_embeddings,
     find_embeddings,
     has_embedding,
@@ -15,7 +17,7 @@ from tests.conftest import random_graph_case
 
 class TestBasicMatching:
     def test_single_edge(self, edge_query, triangle_data):
-        result = DAFMatcher().match(edge_query, triangle_data)
+        result = DAFMatcher().match(MatchRequest(edge_query, triangle_data))
         assert sorted(result.embeddings) == [(0, 1), (0, 2)]
         assert result.count == 2
         assert not result.limit_reached
@@ -24,18 +26,18 @@ class TestBasicMatching:
 
     def test_single_vertex_query(self, triangle_data):
         query = Graph(labels=["B"], edges=[])
-        result = DAFMatcher().match(query, triangle_data)
+        result = DAFMatcher().match(MatchRequest(query, triangle_data))
         assert sorted(result.embeddings) == [(1,), (2,)]
 
     def test_no_embeddings(self, triangle_data):
         query = Graph(labels=["Z"], edges=[])
-        result = DAFMatcher().match(query, triangle_data)
+        result = DAFMatcher().match(MatchRequest(query, triangle_data))
         assert result.count == 0
         # Negativity proven by preprocessing: zero search calls (A.3).
         assert result.stats.recursive_calls == 0
 
     def test_path_in_square(self, path_query, square_data):
-        result = DAFMatcher().match(path_query, square_data)
+        result = DAFMatcher().match(MatchRequest(path_query, square_data))
         # A-B-A paths in C4 (A at 0,2; B at 1,3): 2 choices of B x ordered
         # (A, A) pairs = 4.
         assert result.count == 4
@@ -45,7 +47,7 @@ class TestBasicMatching:
 
         for _ in range(10):
             query, data = random_graph_case(rng)
-            result = DAFMatcher().match(query, data, limit=50)
+            result = DAFMatcher().match(MatchRequest(query, data, options=MatchOptions(limit=50)))
             assert result.embeddings  # extracted queries always embed
             for embedding in result.embeddings:
                 assert is_embedding(embedding, query, data)
@@ -53,7 +55,9 @@ class TestBasicMatching:
 
 class TestLimits:
     def test_limit_respected(self, edge_query, triangle_data):
-        result = DAFMatcher().match(edge_query, triangle_data, limit=1)
+        result = DAFMatcher().match(
+            MatchRequest(edge_query, triangle_data, options=MatchOptions(limit=1))
+        )
         assert result.count == 1
         assert result.limit_reached
 
@@ -79,19 +83,23 @@ class TestLimits:
         query = ensure_connected(query, rng)
         assert is_connected(query)
         result = DAFMatcher(MatchConfig(collect_embeddings=False)).match(
-            query, data, limit=10**9, time_limit=0.2
+            MatchRequest(query, data, options=MatchOptions(limit=10**9, time_limit=0.2))
         )
         assert result.timed_out
         assert not result.solved
 
     def test_callback_streams_embeddings(self, edge_query, triangle_data):
         seen = []
-        DAFMatcher().match(edge_query, triangle_data, on_embedding=seen.append)
+        DAFMatcher().match(
+            MatchRequest(
+                edge_query, triangle_data, options=MatchOptions(on_embedding=seen.append)
+            )
+        )
         assert sorted(seen) == [(0, 1), (0, 2)]
 
     def test_counting_mode_returns_no_embeddings(self, edge_query, triangle_data):
         result = DAFMatcher(MatchConfig(collect_embeddings=False)).match(
-            edge_query, triangle_data
+            MatchRequest(edge_query, triangle_data)
         )
         assert result.count == 2
         assert result.embeddings == []
@@ -101,17 +109,17 @@ class TestValidation:
     def test_disconnected_query_rejected(self, triangle_data):
         query = Graph(labels=["A", "B"], edges=[])
         with pytest.raises(ValueError, match="connected"):
-            DAFMatcher().match(query, triangle_data)
+            DAFMatcher().match(MatchRequest(query, triangle_data))
 
     def test_empty_query_rejected(self, triangle_data):
         with pytest.raises(ValueError, match="at least one vertex"):
-            DAFMatcher().match(Graph().freeze(), triangle_data)
+            DAFMatcher().match(MatchRequest(Graph().freeze(), triangle_data))
 
     def test_unfrozen_graph_rejected(self, triangle_data):
         query = Graph()
         query.add_vertex("A")
         with pytest.raises(Exception):
-            DAFMatcher().match(query, triangle_data)
+            DAFMatcher().match(MatchRequest(query, triangle_data))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -181,8 +189,12 @@ class TestLeafDecomposition:
     def test_star_counts_match_without_decomposition(self):
         data = star_graph("H", ["L"] * 6)
         query = star_graph("H", ["L"] * 3)
-        with_leaves = DAFMatcher(MatchConfig(leaf_decomposition=True)).match(query, data)
-        without = DAFMatcher(MatchConfig(leaf_decomposition=False)).match(query, data)
+        with_leaves = DAFMatcher(MatchConfig(leaf_decomposition=True)).match(
+            MatchRequest(query, data)
+        )
+        without = DAFMatcher(MatchConfig(leaf_decomposition=False)).match(
+            MatchRequest(query, data)
+        )
         assert sorted(with_leaves.embeddings) == sorted(without.embeddings)
         assert with_leaves.count == 6 * 5 * 4
 
@@ -193,8 +205,12 @@ class TestLeafDecomposition:
         large = star_graph("H", ["L"] * 200)
         query = star_graph("H", ["L"] * 3)
         cfg = MatchConfig(collect_embeddings=False)
-        calls_small = DAFMatcher(cfg).match(query, small, limit=10**9).stats.recursive_calls
-        calls_large = DAFMatcher(cfg).match(query, large, limit=10**9).stats.recursive_calls
+        calls_small = DAFMatcher(cfg).match(
+            MatchRequest(query, small, options=MatchOptions(limit=10**9))
+        ).stats.recursive_calls
+        calls_large = DAFMatcher(cfg).match(
+            MatchRequest(query, large, options=MatchOptions(limit=10**9))
+        ).stats.recursive_calls
         assert calls_large <= calls_small + 1
 
     def test_counts_correct_with_mixed_labels(self):

@@ -21,6 +21,8 @@ from repro import (
     Graph,
     JsonlSink,
     MatchConfig,
+    MatchOptions,
+    MatchRequest,
     MemorySink,
     MetricsRegistry,
     ProgressReporter,
@@ -69,11 +71,15 @@ class TestZeroOverhead:
     def test_daf_results_bit_identical_with_and_without(self, use_fs):
         for query, data in _cases():
             config = MatchConfig(use_failing_sets=use_fs)
-            plain = DAFMatcher(config).match(query, data, limit=10**9)
+            plain = DAFMatcher(config).match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**9))
+            )
             observed = (
                 DAFMatcher(config)
                 .with_observer(MetricsRegistry())
-                .match(query, data, limit=10**9)
+                .match(
+                    MatchRequest(query, data, options=MatchOptions(limit=10**9))
+                )
             )
             assert sorted(plain.embeddings) == sorted(observed.embeddings)
             assert plain.stats.recursive_calls == observed.stats.recursive_calls
@@ -83,9 +89,11 @@ class TestZeroOverhead:
     def test_baseline_results_bit_identical_with_and_without(self):
         query, data = _cases(1, seed=11)[0]
         for name, cls in ALL_BASELINES.items():
-            plain = cls().match(query, data, limit=10**9)
+            plain = cls().match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
             observed = (
-                cls().with_observer(MetricsRegistry()).match(query, data, limit=10**9)
+                cls().with_observer(MetricsRegistry()).match(
+                    MatchRequest(query, data, options=MatchOptions(limit=10**9))
+                )
             )
             assert sorted(plain.embeddings) == sorted(observed.embeddings), name
             assert plain.stats.recursive_calls == observed.stats.recursive_calls, name
@@ -104,7 +112,9 @@ class TestCounterConsistency:
         for query, data in _cases():
             registry = MetricsRegistry()
             matcher = DAFMatcher(MatchConfig(use_failing_sets=True))
-            matcher.with_observer(registry).match(query, data, limit=10**9)
+            matcher.with_observer(registry).match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**9))
+            )
             c = registry.counters()
             assert (
                 c["candidates_examined"]
@@ -117,7 +127,9 @@ class TestCounterConsistency:
         for query, data in _cases(4, seed=3):
             registry = MetricsRegistry()
             matcher = DAFMatcher(MatchConfig(leaf_decomposition=False))
-            result = matcher.with_observer(registry).match(query, data, limit=10**9)
+            result = matcher.with_observer(registry).match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**9))
+            )
             assert (
                 result.stats.recursive_calls
                 == registry.children_entered + 1
@@ -130,7 +142,9 @@ class TestCounterConsistency:
         query, data = _cases(1, seed=5)[0]
         for name, cls in ALL_BASELINES.items():
             registry = MetricsRegistry()
-            cls().with_observer(registry).match(query, data, limit=10**9)
+            cls().with_observer(registry).match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**9))
+            )
             c = registry.counters()
             assert c["candidates_examined"] == (
                 c["children_entered"]
@@ -145,7 +159,9 @@ class TestCounterConsistency:
         registry = MetricsRegistry()
         DAFMatcher(MatchConfig(use_failing_sets=True)).with_observer(
             registry
-        ).match(query, data, limit=10**9)
+        ).match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**9))
+        )
         assert registry.fs_cuts >= 0  # trap is small; cuts may be zero
         # but the search must at least account for the trap's candidates
         assert registry.candidates_examined > 0
@@ -183,7 +199,7 @@ class TestRegistry:
     def test_daf_run_records_pipeline_spans(self):
         query, data = _cases(1, seed=9)[0]
         registry = MetricsRegistry()
-        DAFMatcher().with_observer(registry).match(query, data)
+        DAFMatcher().with_observer(registry).match(MatchRequest(query, data))
         for phase in ("dag_build", "cs_construct", "order", "search"):
             assert phase in registry.spans, phase
 
@@ -216,7 +232,7 @@ class TestSinksAndSchema:
         with JsonlSink(path) as sink:
             registry = MetricsRegistry(sink=sink)
             query, data = _cases(1, seed=13)[0]
-            DAFMatcher().with_observer(registry).match(query, data)
+            DAFMatcher().with_observer(registry).match(MatchRequest(query, data))
             registry.emit_counters()
         assert validate_jsonl(path) == []
         events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -347,8 +363,8 @@ class TestParallelObserved:
         sink = MemorySink()
         registry = MetricsRegistry(sink=sink)
         matcher = ParallelDAFMatcher(num_workers=3).with_observer(registry)
-        result = matcher.match(query, data, limit=10**9)
-        expected = DAFMatcher().match(query, data, limit=10**9)
+        result = matcher.match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
+        expected = DAFMatcher().match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
         assert sorted(result.embeddings) == sorted(expected.embeddings)
         # Merged payload: the parent contributes the filter-phase spans,
         # the workers contribute search counters.
@@ -365,7 +381,9 @@ class TestParallelObserved:
 
     def test_parallel_without_observer_has_no_metrics(self, instance):
         query, data = instance
-        result = ParallelDAFMatcher(num_workers=2).match(query, data, limit=10**9)
+        result = ParallelDAFMatcher(num_workers=2).match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**9))
+        )
         assert result.stats.metrics is None
 
 
@@ -379,7 +397,7 @@ class TestResilientObserved:
         matcher = ResilientMatcher(max_memory=1).with_observer(
             MetricsRegistry(sink=sink)
         )
-        result = matcher.match(query, data, limit=10**9)
+        result = matcher.match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
         assert result.degradations  # the 1-byte budget forced the chain
         degrade_events = sink.of_type("degrade")
         assert len(degrade_events) == len(result.degradations)

@@ -5,7 +5,7 @@ These instantiate the situations of §1 (Figure 2), §4 (refinement), §5
 fully-specified graphs and check the behaviour the paper describes.
 """
 
-from repro import DAFMatcher, MatchConfig
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.baselines import CFLMatcher, build_cpi
 from repro.core import build_candidate_space, build_dag
 from repro.graph import Graph
@@ -69,8 +69,8 @@ class TestFigure2CartesianProducts:
 
     def test_search_tree_shrinks_accordingly(self):
         query, data = make_nontree_blindspot(decoys=10)
-        daf = DAFMatcher(MatchConfig(collect_embeddings=False)).match(query, data)
-        cfl = CFLMatcher().match(query, data, count_only=True)
+        daf = DAFMatcher(MatchConfig(collect_embeddings=False)).match(MatchRequest(query, data))
+        cfl = CFLMatcher().match(MatchRequest(query, data, options=MatchOptions(count_only=True)))
         assert daf.count == cfl.count == 1
         assert daf.stats.recursive_calls <= cfl.stats.recursive_calls
 
@@ -140,7 +140,9 @@ class TestSection3LeafDecomposition:
         calls = []
         for k in (5, 100):
             query, data = instance(k)
-            result = DAFMatcher(cfg).match(query, data, limit=10**9)
+            result = DAFMatcher(cfg).match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**9))
+            )
             assert result.count == k
             calls.append(result.stats.recursive_calls)
         assert calls[0] == calls[1]
@@ -151,7 +153,7 @@ class TestAppendixA3NegativeQueries:
 
     def test_empty_cs_means_zero_search(self, triangle_data):
         query = Graph(labels=["A", "missing"], edges=[(0, 1)])
-        result = DAFMatcher().match(query, triangle_data)
+        result = DAFMatcher().match(MatchRequest(query, triangle_data))
         assert result.count == 0
         assert result.stats.recursive_calls == 0
         assert result.stats.search_seconds < 0.1
@@ -163,7 +165,7 @@ class TestAppendixA3NegativeQueries:
         query, data = make_failing_sibling_case(
             irrelevant_candidates=2, doomed_candidates=4
         )
-        result = DAFMatcher().match(query, data)
+        result = DAFMatcher().match(MatchRequest(query, data))
         assert result.count == 0
         # The CS is pairwise-consistent (non-empty), so the search must
         # actually run before concluding negativity.
@@ -192,7 +194,9 @@ class TestSection5AdaptiveOrder:
         query = Graph(labels=["R", "X", "X", "Y"], edges=[(0, 1), (0, 2), (0, 3)])
         result = DAFMatcher(
             MatchConfig(leaf_decomposition=False, collect_embeddings=False)
-        ).match(query, data)
+        ).match(
+            MatchRequest(query, data)
+        )
         assert result.count == 0
         # Fails on the X conflict before ever iterating the 50 Ys.
         assert result.stats.recursive_calls < 10

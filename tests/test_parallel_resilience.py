@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro import DAFMatcher, MatchConfig
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.extensions import ParallelDAFMatcher
 from repro.graph import ensure_connected, gnm_random_graph
 from repro.interfaces import is_embedding
@@ -31,12 +31,14 @@ def instance():
 @pytest.fixture(scope="module")
 def expected(instance):
     query, data = instance
-    return DAFMatcher().match(query, data, limit=10**9)
+    return DAFMatcher().match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
 
 
 def test_clean_parallel_run_records_outcomes(instance, expected):
     query, data = instance
-    result = ParallelDAFMatcher(num_workers=3).match(query, data, limit=10**9)
+    result = ParallelDAFMatcher(num_workers=3).match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**9))
+    )
     assert sorted(result.embeddings) == sorted(expected.embeddings)
     assert not result.partial_failure
     outcomes = result.stats.worker_outcomes
@@ -52,7 +54,7 @@ def test_worker_crash_salvages_partial_results(instance, expected):
     query, data = instance
     matcher = ParallelDAFMatcher(num_workers=3, max_retries=1, backoff_base=0.01)
     with inject(FaultSpec(site="worker.start", match={"slice_index": 0})):
-        result = matcher.match(query, data, limit=10**9)
+        result = matcher.match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
     assert result.partial_failure
     assert not result.solved
     # Survivors' embeddings are present, valid, and a strict subset.
@@ -78,7 +80,7 @@ def test_hard_killed_worker_detected_via_pipe_eof(instance, expected):
     query, data = instance
     matcher = ParallelDAFMatcher(num_workers=3, max_retries=0)
     with inject(FaultSpec(site="worker.start", kind="exit", match={"slice_index": 1})):
-        result = matcher.match(query, data, limit=10**9)
+        result = matcher.match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
     assert result.partial_failure
     assert 0 < result.count < expected.count
     assert set(result.embeddings) < set(expected.embeddings)
@@ -97,7 +99,7 @@ def test_crashed_slice_retry_recovers_full_answer(instance, expected):
         site="worker.start", kind="exit", match={"slice_index": 1, "attempt": 0}
     )
     with inject(spec):
-        result = matcher.match(query, data, limit=10**9)
+        result = matcher.match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
     assert not result.partial_failure
     assert result.solved
     assert sorted(result.embeddings) == sorted(expected.embeddings)
@@ -117,7 +119,9 @@ def test_hung_worker_is_reaped_at_deadline(instance):
     with inject(
         FaultSpec(site="worker.start", kind="hang", hang_seconds=60.0, match={"slice_index": 0})
     ):
-        result = matcher.match(query, data, limit=10**9, time_limit=1.0)
+        result = matcher.match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**9, time_limit=1.0))
+        )
     wall = time.perf_counter() - start
     assert wall < 10.0  # nowhere near the 60 s hang
     assert result.timed_out
@@ -130,7 +134,7 @@ def test_hung_worker_is_reaped_at_deadline(instance):
 def test_global_limit_cancels_remaining_slices(instance):
     query, data = instance
     matcher = ParallelDAFMatcher(num_workers=3)
-    result = matcher.match(query, data, limit=5)
+    result = matcher.match(MatchRequest(query, data, options=MatchOptions(limit=5)))
     assert result.limit_reached
     assert result.count == 5
     assert len(result.embeddings) == 5
@@ -154,7 +158,9 @@ def test_time_budget_deducts_preprocess(monkeypatch, instance):
 
     monkeypatch.setattr(matcher._matcher, "prepare", slow_prepare)
     start = time.perf_counter()
-    result = matcher.match(query, data, limit=10**9, time_limit=60.0)
+    result = matcher.match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**9, time_limit=60.0))
+    )
     assert time.perf_counter() - start < 5.0  # returned immediately
     assert result.timed_out
     assert result.count == 0
@@ -181,7 +187,9 @@ def test_remaining_time_passed_to_workers(monkeypatch, instance):
 
     monkeypatch.setattr(matcher._matcher, "prepare", slow_prepare)
     start = time.perf_counter()
-    result = matcher.match(big_query, big_data, limit=10**9, time_limit=60.0)
+    result = matcher.match(
+        MatchRequest(big_query, big_data, options=MatchOptions(limit=10**9, time_limit=60.0))
+    )
     wall = time.perf_counter() - start
     assert result.timed_out
     assert wall < 10.0  # held to the ~0.5 s remainder, not the full minute

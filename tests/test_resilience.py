@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from repro import Budget, BudgetExceeded, DAFMatcher, MatchConfig, ResilientMatcher
+from repro import (
+    Budget,
+    BudgetExceeded,
+    DAFMatcher,
+    MatchConfig,
+    MatchOptions,
+    MatchRequest,
+    ResilientMatcher,
+)
 from repro.baselines.generic import ordered_backtrack
 from repro.baselines.vf2 import VF2Matcher
 from repro.graph import Graph, ensure_connected, gnm_random_graph
@@ -104,7 +112,9 @@ class TestBudgetedDAF:
     def test_call_budget_flags_instead_of_raising(self):
         query, data = blob_instance()
         result = DAFMatcher().match(
-            query, data, limit=10**9, budget=Budget(max_calls=50)
+            MatchRequest(
+                query, data, options=MatchOptions(limit=10**9, budget=Budget(max_calls=50))
+            )
         )
         assert result.budget_breach == "calls"
         assert not result.timed_out
@@ -115,19 +125,27 @@ class TestBudgetedDAF:
     def test_time_budget_sets_both_flags(self):
         query, data = blob_instance()
         result = DAFMatcher(MatchConfig(collect_embeddings=False)).match(
-            query, data, limit=10**9, budget=Budget(time_limit=0.05, check_interval=16)
+            MatchRequest(
+                query,
+                data,
+                options=MatchOptions(
+                    limit=10**9, budget=Budget(time_limit=0.05, check_interval=16)
+                ),
+            )
         )
         assert result.timed_out
         assert result.budget_breach == "time"
 
     def test_memory_budget_during_collection_keeps_partial(self):
         query, data = star_instance(leaves=12)
-        full = DAFMatcher().match(query, data, limit=10**9)
+        full = DAFMatcher().match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
         assert full.count == 12 * 11
         # Enough for the CS structure but only a fraction of the embeddings.
         cap = data.num_vertices * CANDIDATE_BYTES * 4 + embedding_bytes(3) * 20
         result = DAFMatcher().match(
-            query, data, limit=10**9, budget=Budget(max_memory=cap)
+            MatchRequest(
+                query, data, options=MatchOptions(limit=10**9, budget=Budget(max_memory=cap))
+            )
         )
         assert result.budget_breach == "memory"
         assert 0 < result.count < full.count
@@ -139,7 +157,9 @@ class TestBudgetedDAF:
     def test_memory_budget_during_cs_build(self):
         query, data = blob_instance()
         result = DAFMatcher().match(
-            query, data, limit=10**9, budget=Budget(max_memory=64)
+            MatchRequest(
+                query, data, options=MatchOptions(limit=10**9, budget=Budget(max_memory=64))
+            )
         )
         assert result.budget_breach == "memory"
         assert result.count == 0
@@ -147,9 +167,15 @@ class TestBudgetedDAF:
 
     def test_unbreached_budget_changes_nothing(self):
         query, data = star_instance(leaves=6)
-        plain = DAFMatcher().match(query, data, limit=10**9)
+        plain = DAFMatcher().match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
         budgeted = DAFMatcher().match(
-            query, data, limit=10**9, budget=Budget(max_calls=10**9, max_memory=10**9)
+            MatchRequest(
+                query,
+                data,
+                options=MatchOptions(
+                    limit=10**9, budget=Budget(max_calls=10**9, max_memory=10**9)
+                ),
+            )
         )
         assert budgeted.budget_breach is None
         assert budgeted.solved
@@ -231,18 +257,20 @@ class TestFaultInjector:
         query, data = star_instance()
         with inject(FaultSpec(site="cs.refine")):
             with pytest.raises(InjectedFault):
-                DAFMatcher().match(query, data)
+                DAFMatcher().match(MatchRequest(query, data))
 
     def test_backtrack_hook_reaches_matcher(self):
         query, data = blob_instance()
         with inject(FaultSpec(site="backtrack.step", at_visit=5)):
             with pytest.raises(InjectedFault):
-                DAFMatcher().match(query, data, limit=10**9)
+                DAFMatcher().match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
 
     def test_disarmed_injector_costs_nothing(self):
         query, data = star_instance()
         assert not FAULTS.active
-        assert DAFMatcher().match(query, data, limit=10**9).count == 12 * 11
+        assert DAFMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**9))
+        ).count == 12 * 11
 
 
 class _AlwaysCrashes(Matcher):
@@ -257,8 +285,10 @@ class _AlwaysCrashes(Matcher):
 class TestResilientMatcher:
     def test_healthy_primary_unchanged(self):
         query, data = star_instance(leaves=6)
-        plain = DAFMatcher().match(query, data, limit=10**9)
-        result = ResilientMatcher().match(query, data, limit=10**9)
+        plain = DAFMatcher().match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
+        result = ResilientMatcher().match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**9))
+        )
         assert result.solved
         assert sorted(result.embeddings) == sorted(plain.embeddings)
         assert len(result.degradations) == 1
@@ -270,7 +300,9 @@ class TestResilientMatcher:
         # Fits the CS structure and a handful of embeddings, nowhere near
         # all 132 — collection must breach, counting mode must succeed.
         cap = data.num_vertices * CANDIDATE_BYTES * 4 + embedding_bytes(3) * 20
-        result = ResilientMatcher(max_memory=cap).match(query, data, limit=10**9)
+        result = ResilientMatcher(max_memory=cap).match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**9))
+        )
         assert result.solved
         assert result.count == expected
         assert result.embeddings == []  # counting mode collects nothing
@@ -281,7 +313,7 @@ class TestResilientMatcher:
     def test_crashing_primary_falls_back(self):
         query, data = star_instance(leaves=6)
         result = ResilientMatcher(primary=_AlwaysCrashes()).match(
-            query, data, limit=10**9
+            MatchRequest(query, data, options=MatchOptions(limit=10**9))
         )
         assert result.solved
         assert result.count == 6 * 5
@@ -292,7 +324,9 @@ class TestResilientMatcher:
     def test_injected_faults_exhaust_daf_stages_then_fallback(self):
         query, data = star_instance(leaves=6)
         with inject(FaultSpec(site="backtrack.step")):
-            result = ResilientMatcher().match(query, data, limit=10**9)
+            result = ResilientMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**9))
+            )
         # Every DAF stage crashed on its first recursive call.  Each stage
         # tries one checkpoint resume, but a fault that always fires at the
         # same site cannot advance the call counter, so the bounded resume
@@ -307,7 +341,7 @@ class TestResilientMatcher:
     def test_all_stages_dead_flags_partial_failure(self):
         query, data = star_instance()
         matcher = ResilientMatcher(primary=_AlwaysCrashes(), use_fallback=False)
-        result = matcher.match(query, data, limit=10**9)
+        result = matcher.match(MatchRequest(query, data, options=MatchOptions(limit=10**9)))
         assert result.partial_failure
         assert not result.solved
         assert result.count == 0
@@ -316,7 +350,7 @@ class TestResilientMatcher:
     def test_timeout_returns_immediately(self):
         query, data = blob_instance()
         result = ResilientMatcher(config=MatchConfig(collect_embeddings=False)).match(
-            query, data, limit=10**9, time_limit=0.05
+            MatchRequest(query, data, options=MatchOptions(limit=10**9, time_limit=0.05))
         )
         assert result.timed_out
         assert not result.solved
@@ -325,7 +359,9 @@ class TestResilientMatcher:
 
     def test_call_budget_is_global_across_chain(self):
         query, data = blob_instance()
-        result = ResilientMatcher(max_calls=100).match(query, data, limit=10**9)
+        result = ResilientMatcher(max_calls=100).match(
+            MatchRequest(query, data, options=MatchOptions(limit=10**9))
+        )
         assert result.budget_breach == "calls"
         assert result.stats.recursive_calls <= 101
 
@@ -333,6 +369,6 @@ class TestResilientMatcher:
         query, data = star_instance(leaves=5)
         seen = []
         result = ResilientMatcher(primary=_AlwaysCrashes()).match(
-            query, data, limit=10**9, on_embedding=seen.append
+            MatchRequest(query, data, options=MatchOptions(limit=10**9, on_embedding=seen.append))
         )
         assert sorted(seen) == sorted(result.embeddings)

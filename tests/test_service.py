@@ -475,10 +475,17 @@ class TestAmortization:
 
 
 class TestRequestAPI:
-    def test_legacy_positional_match_warns(self, edge_query, triangle_data):
-        with pytest.deprecated_call():
-            result = DAFMatcher().match(edge_query, triangle_data, limit=10)
-        assert result.count == 2
+    def test_positional_match_is_rejected(self, edge_query, triangle_data):
+        matcher = DAFMatcher()
+        removed_spellings = (
+            lambda: matcher.match(edge_query, triangle_data),
+            lambda: matcher.match(edge_query, triangle_data, limit=10),
+            lambda: matcher.match(query=edge_query, data=triangle_data),
+            lambda: matcher.match(edge_query),
+        )
+        for call in removed_spellings:
+            with pytest.raises(TypeError, match=r"MatchRequest.*docs/serving\.md"):
+                call()
 
     def test_request_form_does_not_warn(self, edge_query, triangle_data):
         with warnings.catch_warnings():

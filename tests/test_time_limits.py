@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro import DAFMatcher, MatchConfig
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.baselines import ALL_BASELINES
 from repro.extensions import BoostedDAFMatcher
 from repro.graph import ensure_connected, gnm_random_graph
@@ -29,7 +29,9 @@ def instance():
 def test_baseline_respects_time_limit(name, instance):
     query, data = instance
     matcher = ALL_BASELINES[name]()
-    result = matcher.match(query, data, limit=10**9, time_limit=0.3)
+    result = matcher.match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**9, time_limit=0.3))
+    )
     # Either it timed out, or it genuinely exhausted the space fast.
     assert result.timed_out or result.stats.elapsed_seconds < 2.0
 
@@ -42,7 +44,9 @@ def test_baseline_timeout_semantics(name, instance):
     query, data = instance
     matcher = ALL_BASELINES[name]()
     start = time.perf_counter()
-    result = matcher.match(query, data, limit=10**9, time_limit=0.3)
+    result = matcher.match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**9, time_limit=0.3))
+    )
     wall = time.perf_counter() - start
     assert result.timed_out
     assert not result.solved
@@ -54,7 +58,7 @@ def test_baseline_timeout_semantics(name, instance):
 def test_daf_respects_time_limit(instance):
     query, data = instance
     result = DAFMatcher(MatchConfig(collect_embeddings=False)).match(
-        query, data, limit=10**9, time_limit=0.3
+        MatchRequest(query, data, options=MatchOptions(limit=10**9, time_limit=0.3))
     )
     assert result.timed_out
     assert result.stats.search_seconds < 2.0
@@ -63,7 +67,7 @@ def test_daf_respects_time_limit(instance):
 def test_boost_respects_time_limit(instance):
     query, data = instance
     result = BoostedDAFMatcher(MatchConfig(collect_embeddings=False)).match(
-        query, data, limit=10**9, time_limit=0.3
+        MatchRequest(query, data, options=MatchOptions(limit=10**9, time_limit=0.3))
     )
     assert result.timed_out or result.stats.elapsed_seconds < 2.0
 
@@ -71,7 +75,7 @@ def test_boost_respects_time_limit(instance):
 def test_timeout_result_contains_partial_progress(instance):
     query, data = instance
     result = DAFMatcher(MatchConfig(collect_embeddings=False)).match(
-        query, data, limit=10**9, time_limit=0.3
+        MatchRequest(query, data, options=MatchOptions(limit=10**9, time_limit=0.3))
     )
     # Progress was made and is reported faithfully alongside the flag.
     assert result.stats.recursive_calls > 0

@@ -5,7 +5,7 @@ assert the *specific* failing sets the paper's computation rules produce,
 not just their pruning side-effects.
 """
 
-from repro import DAFMatcher, MatchConfig
+from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.core import SearchTracer
 from repro.graph import Graph
 from tests.conftest import random_graph_case
@@ -150,7 +150,9 @@ class TestTraceConsistency:
     def test_tracing_does_not_change_results(self, rng):
         for _ in range(8):
             query, data = random_graph_case(rng)
-            plain = DAFMatcher().match(query, data, limit=10**6)
+            plain = DAFMatcher().match(
+                MatchRequest(query, data, options=MatchOptions(limit=10**6))
+            )
             traced, _ = run_traced(query, data)
             assert sorted(traced.embeddings) == sorted(plain.embeddings)
             assert traced.stats.recursive_calls == plain.stats.recursive_calls

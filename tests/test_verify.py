@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import DAFMatcher
+from repro import DAFMatcher, MatchRequest
 from repro.baselines import QuickSIMatcher, VF2Matcher
 from repro.graph import Graph, complete_graph
 from repro.verify import (
@@ -17,7 +17,7 @@ from tests.conftest import random_graph_case
 
 class TestVerifyEmbeddings:
     def test_valid_result_passes(self, edge_query, triangle_data):
-        result = DAFMatcher().match(edge_query, triangle_data)
+        result = DAFMatcher().match(MatchRequest(edge_query, triangle_data))
         verify_embeddings(result.embeddings, edge_query, triangle_data)
 
     def test_duplicate_rejected(self, edge_query, triangle_data):
