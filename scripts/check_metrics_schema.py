@@ -5,7 +5,7 @@ Usage::
 
     PYTHONPATH=src python scripts/check_metrics_schema.py FILE [FILE ...]
 
-Five file kinds are recognized:
+Four file kinds are recognized:
 
 - **JSONL event streams** as produced by ``repro.obs.JsonlSink`` (the
   CLI's ``--metrics-out``, the benchmark harness's session sink, or any
@@ -15,11 +15,6 @@ Five file kinds are recognized:
 - **run manifests** (``BENCH_<n>.json`` or any JSON object tagged
   ``"schema": "repro.bench.manifest"``) — validated by
   :func:`repro.bench.validate_manifest_file`;
-- **telemetry exports** (JSON objects tagged ``"schema":
-  "repro.obs.telemetry"``, as written by ``repro serve-batch
-  --telemetry-out``) — windows and alerts validated against the
-  ``telemetry.window`` / ``telemetry.alert`` event schemas by
-  :func:`repro.obs.telemetry.validate_export`;
 - **explain reports** (JSON objects tagged ``"schema":
   "repro.obs.explain"``, as written by ``repro explain analyze
   --json``) — the flat summary re-validated as an ``explain.report``
@@ -50,7 +45,6 @@ except ImportError:  # direct invocation without PYTHONPATH
 from repro.bench.manifest import MANIFEST_SCHEMA, manifest_index, validate_manifest_file
 from repro.lint import LINT_SCHEMA, validate_lint_report
 from repro.obs.schema import EXPLAIN_SCHEMA, validate_explain_report
-from repro.obs.telemetry import TELEMETRY_SCHEMA, validate_export
 
 
 def _is_single_object_with_tag(path: Path, tag: str) -> bool:
@@ -69,11 +63,6 @@ def is_manifest(path: Path) -> bool:
     if manifest_index(path) is not None:
         return True
     return _is_single_object_with_tag(path, MANIFEST_SCHEMA)
-
-
-def is_telemetry_export(path: Path) -> bool:
-    """Telemetry-export detection: the ``repro.obs.telemetry`` tag."""
-    return _is_single_object_with_tag(path, TELEMETRY_SCHEMA)
 
 
 def is_explain_report(path: Path) -> bool:
@@ -112,9 +101,6 @@ def main(argv: list[str]) -> int:
         if is_manifest(path):
             errors = validate_manifest_file(path)
             kind = "manifest"
-        elif is_telemetry_export(path):
-            errors = validate_export(path)
-            kind = "telemetry"
         elif is_explain_report(path):
             errors = validate_explain_report(path)
             kind = "explain"

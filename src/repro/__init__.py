@@ -59,8 +59,6 @@ from .obs import (
     MemorySink,
     MetricsRegistry,
     ProgressReporter,
-    SamplingTracer,
-    TelemetryAggregator,
     TraceContext,
 )
 from .resilience import Budget, BudgetExceeded
@@ -105,10 +103,8 @@ __all__ = [
     "PreparedQueryCache",
     "ProgressReporter",
     "ResilientMatcher",
-    "SamplingTracer",
     "SearchStats",
     "StandingQuery",
-    "TelemetryAggregator",
     "TraceContext",
     "UnsupportedOptionError",
     "UpdateBatch",

@@ -479,7 +479,9 @@ class _CFLSearch:
             group_first_leaf.setdefault(query.label(u), u)
         total = 1
         for label, candidate_lists in groups.items():
-            group_count = _count_injective(candidate_lists, cap=remaining, injective=True)
+            group_count = _count_injective(
+                candidate_lists, cap=remaining, injective=True, deadline=self.deadline
+            )
             if group_count == 0:
                 if obs is not None:
                     obs.prune_empty += 1

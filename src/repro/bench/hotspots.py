@@ -7,7 +7,7 @@ This module packages that view: run a query with per-vertex attribution
 on (:data:`repro.obs.VERTEX_COUNTERS`), then report each vertex's share
 of recursive descents, emptyset failures, conflicts and failing-set
 prunes — optionally alongside a ``flamegraph.pl``-compatible folded-stack
-export from the :class:`~repro.obs.SamplingTracer`.
+export from the :class:`~repro.core.trace.SearchTracer`.
 
 The default subject is the paper's §6 worked discussion (conflict cells
 feeding failing sets): a square query whose two A-labelled corners are
@@ -26,7 +26,8 @@ from typing import Optional
 from ..core.config import MatchConfig
 from ..core.matcher import DAFMatcher
 from ..graph.graph import Graph
-from ..obs import MetricsRegistry, SamplingTracer, hotspot_rows, render_hotspots
+from ..core.trace import SearchTracer
+from ..obs import MetricsRegistry, hotspot_rows, render_hotspots
 
 
 def paper_worked_example(decoys: int = 10) -> tuple[Graph, Graph]:
@@ -74,16 +75,17 @@ def run_hotspots(
 
     Without ``query``/``data`` the paper worked example runs.  Returns
     ``{"result", "snapshot", "rows", "tracer"}`` where ``rows`` is the
-    per-vertex attribution (hottest first) and ``tracer`` is the
-    :class:`~repro.obs.SamplingTracer` (``None`` unless
-    ``collect_folded``).
+    per-vertex attribution (hottest first) and ``tracer`` is a
+    histogram-only :class:`~repro.core.trace.SearchTracer` (``None``
+    unless ``collect_folded``): it keeps no tree, so its memory stays
+    bounded however large the search.
     """
     if query is None or data is None:
         query, data = paper_worked_example()
     registry = MetricsRegistry()
     config = MatchConfig(use_failing_sets=use_failing_sets, collect_embeddings=False)
     matcher = DAFMatcher(config).with_observer(registry)
-    tracer = SamplingTracer(sample_every=1) if collect_folded else None
+    tracer = SearchTracer(keep_tree=False) if collect_folded else None
     prepared = matcher.prepare(query, data)
     result = matcher.search(prepared, limit=limit, tracer=tracer)
     snapshot = result.stats.metrics or registry.snapshot()

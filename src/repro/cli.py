@@ -18,8 +18,6 @@ Commands
               session with prepared-query caching (docs/serving.md)
 ``trace``     inspect request traces in a metrics JSONL stream
               (``show``: list traces / render one request tree)
-``top``       windowed telemetry summary of a metrics stream (latency
-              percentiles, cache hit-rate, crash rate, SLO alerts)
 ``chaos``     sweep seeded fault injections across serving workloads and
               gate on exact-answer equality (docs/robustness.md)
 ``lint``      statically check the codebase's invariants
@@ -629,8 +627,6 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
 
     if args.journal and args.rounds != 1:
         raise SystemExit("--journal requires --rounds 1 (a journal keys on request index)")
-    if args.telemetry_out and not args.metrics_out:
-        raise SystemExit("--telemetry-out requires --metrics-out (it summarizes that stream)")
     journal = BatchJournal(args.journal) if args.journal else None
     if args.updates and args.journal:
         raise SystemExit("--updates and --journal are mutually exclusive "
@@ -648,20 +644,12 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
         else:
             query_paths.append(path)
     queries = [(p, _read_graph(str(p), args.format)) for p in query_paths]
-    observer, sink, aggregator = None, None, None
+    observer, sink = None, None
     if args.metrics_out:
-        from .obs import JsonlSink, MetricsRegistry, TeeSink
-        from .obs.telemetry import TelemetryAggregator
+        from .obs import JsonlSink, MetricsRegistry
 
         sink = JsonlSink(args.metrics_out)
-        # The aggregator folds the live stream into telemetry.window
-        # events (latency percentiles, hit-rate, crash-rate) written to
-        # the same sidecar; one window per batch round by default.
-        aggregator = TelemetryAggregator(
-            window_requests=args.window if args.window else max(1, len(queries)),
-            out=sink,
-        )
-        observer = MetricsRegistry(sink=TeeSink(sink, aggregator))
+        observer = MetricsRegistry(sink=sink)
     session = DataGraphSession(data, cache_size=args.cache_size, observer=observer)
     engine = BatchEngine(session, num_workers=args.workers)
     options = MatchOptions(
@@ -730,8 +718,6 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
                 "cache_refreshed": update.cache_refreshed,
                 "cache_invalidated": update.cache_invalidated,
             }
-    if aggregator is not None:
-        aggregator.close()  # close the final (possibly partial) window
     if sink is not None:
         sink.close()
     payload = {
@@ -745,10 +731,6 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
         "per_round": per_round,
         "results": results,
     }
-    if aggregator is not None:
-        payload["telemetry"] = aggregator.summary()
-        if args.telemetry_out:
-            aggregator.export_json(args.telemetry_out)
     if interrupted:
         payload["interrupted"] = True
     json.dump(payload, sys.stdout, indent=2)
@@ -776,63 +758,6 @@ def cmd_trace_show(args: argparse.Namespace) -> int:
         return 0 if any(e.get("trace_id") == args.trace for e in events) else 1
     print(render_trace_list(collect_traces(events)))
     return 0
-
-
-def _top_watchdog(args: argparse.Namespace):
-    from .obs.telemetry import SloWatchdog, default_slo_rules
-
-    return SloWatchdog(
-        default_slo_rules(
-            p95_seconds=args.slo_p95,
-            hit_rate_floor=args.slo_hit_rate,
-            crash_rate_ceiling=args.slo_crash_rate,
-        )
-    )
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """``repro top``: windowed telemetry summary of a metrics stream."""
-    import time as _time
-
-    from .obs.telemetry import TelemetryAggregator, render_top
-
-    aggregator = TelemetryAggregator(
-        window_requests=args.window, watchdog=_top_watchdog(args)
-    )
-    try:
-        stream = open(args.events, "r", encoding="utf-8")
-    except OSError as exc:
-        raise SystemExit(f"cannot read {args.events}: {exc}")
-
-    def drain() -> None:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail; the writer may still be appending
-            if isinstance(event, dict):
-                aggregator.emit(event)
-
-    with stream:
-        if not args.follow:
-            drain()
-            aggregator.flush()
-            print(render_top(aggregator))
-            return 0
-        try:
-            while True:
-                drain()
-                print(render_top(aggregator))
-                print("---")
-                sys.stdout.flush()
-                _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            aggregator.flush()
-            print(render_top(aggregator))
-            return 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -1311,23 +1236,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="append batch.request/batch.run events as JSONL "
-        "(plus telemetry.window summaries; see `repro top`)",
-    )
-    serve_p.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="requests per telemetry window in the metrics stream "
-        "(default: the batch size, i.e. one window per round)",
-    )
-    serve_p.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="PATH",
-        help="write the aggregated telemetry windows/alerts as a JSON "
-        "document (validated by scripts/check_metrics_schema.py); "
-        "requires --metrics-out",
+        "(see `repro trace show`)",
     )
     serve_p.add_argument(
         "--updates",
@@ -1363,55 +1272,6 @@ def build_parser() -> argparse.ArgumentParser:
         "attribution (omit to list all traces in the stream)",
     )
     show_p.set_defaults(func=cmd_trace_show)
-
-    top_p = sub.add_parser(
-        "top",
-        help="windowed telemetry summary of a metrics stream "
-        "(docs/observability.md)",
-    )
-    top_p.add_argument("events", help="metrics JSONL file (from --metrics-out)")
-    top_p.add_argument(
-        "--follow",
-        action="store_true",
-        help="keep reading appended events and refresh the summary "
-        "(Ctrl-C exits cleanly)",
-    )
-    top_p.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="refresh cadence with --follow (default 2)",
-    )
-    top_p.add_argument(
-        "--window",
-        type=int,
-        default=16,
-        metavar="N",
-        help="completed requests per aggregation window (default 16)",
-    )
-    top_p.add_argument(
-        "--slo-p95",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="alert when a window's p95 latency exceeds this many seconds",
-    )
-    top_p.add_argument(
-        "--slo-hit-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="alert when a window's cache hit-rate falls below this (0..1)",
-    )
-    top_p.add_argument(
-        "--slo-crash-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="alert when a window's worker crash rate exceeds this (0..1)",
-    )
-    top_p.set_defaults(func=cmd_top)
 
     chaos_p = sub.add_parser(
         "chaos",

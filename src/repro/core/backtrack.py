@@ -822,7 +822,9 @@ class BacktrackEngine:
                     [cs.candidates[u][j] for j in row if j not in taken]
                     for u, row, taken in slots
                 ]
-                group_count = _count_injective(usable, cap=remaining, injective=self.injective)
+                group_count = _count_injective(
+                    usable, cap=remaining, injective=self.injective, deadline=self.deadline
+                )
             if group_count == 0:
                 if obs is not None:
                     obs.prune_empty += 1
@@ -838,7 +840,16 @@ class BacktrackEngine:
         return None
 
 
-def _count_injective(candidate_lists: list[list[int]], cap: int, injective: bool) -> int:
+#: DFS steps of :func:`_count_injective` between two deadline polls.
+_COUNT_POLL_EVERY = 1024
+
+
+def _count_injective(
+    candidate_lists: list[list[int]],
+    cap: int,
+    injective: bool,
+    deadline: Optional[Deadline] = None,
+) -> int:
     """Number of (injective) assignments choosing one value per list.
 
     Capped at ``cap`` — callers only need ``min(true count, cap)``; a
@@ -846,7 +857,9 @@ def _count_injective(candidate_lists: list[list[int]], cap: int, injective: bool
     plain product.  Two lists ``A``, ``B`` take the closed form
     ``|A||B| - collisions``, where a collision is a pair of positions
     holding the same value (``|A ∩ B|`` when neither list repeats a
-    value); three or more lists run a small DFS.
+    value); three or more lists run a DFS that calls ``deadline.poll()``
+    (when given) every :data:`_COUNT_POLL_EVERY` steps, which raises on
+    expiry, so a count that outgrows the time limit stops with the search.
     """
     if cap <= 0:
         cap = 1
@@ -869,13 +882,18 @@ def _count_injective(candidate_lists: list[list[int]], cap: int, injective: bool
     lists = [candidate_lists[k] for k in order]
     used: set[int] = set()
     count = 0
+    countdown = _COUNT_POLL_EVERY
 
     def dfs(pos: int) -> bool:
         """Returns True when the cap is reached (stop everything)."""
-        nonlocal count
+        nonlocal count, countdown
         if pos == len(lists):
             count += 1
             return count >= cap
+        countdown -= 1
+        if countdown <= 0 and deadline is not None:
+            countdown = _COUNT_POLL_EVERY
+            deadline.poll()
         for v in lists[pos]:
             if v in used:
                 continue

@@ -160,8 +160,8 @@ class DAFMatcher(Matcher):
 
         Pass a :class:`repro.core.trace.SearchTracer` as ``tracer`` to
         record the full search tree (nodes, leaf classes, failing sets —
-        the paper's Figure 6/8 view), or a
-        :class:`repro.obs.SamplingTracer` for the bounded version that
+        the paper's Figure 6/8 view) and its folded stacks; with
+        ``keep_tree=False`` it keeps only the bounded folded stacks, which
         scales to real workloads.
 
         A ``budget`` replaces the plain wall-clock deadline with the

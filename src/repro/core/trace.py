@@ -2,9 +2,15 @@
 
 A :class:`SearchTracer` passed to ``BacktrackEngine`` records every
 search-tree node with its mapping pair, outcome class and failing set —
-the exact information the paper's search-tree figures display.  Tracing
-is for inspection, teaching and deep tests (exact failing-set assertions
-on worked examples); it is off by default and costs nothing when absent.
+the exact information the paper's search-tree figures display.  It also
+folds every entered node into a *query-vertex stack* histogram
+(``"u0;u2;u3" -> count``) that :meth:`SearchTracer.folded_lines` exports
+in the ``flamegraph.pl`` collapsed-stack format.  The tree grows with
+the search; the histogram is bounded by query-vertex orderings (and by
+``max_folded_stacks``), so ``keep_tree=False`` keeps only the histogram
+and stays bounded in memory on searches of any size.  Tracing is for
+inspection, teaching and deep tests (exact failing-set assertions on
+worked examples); it is off by default and costs nothing when absent.
 """
 
 from __future__ import annotations
@@ -64,50 +70,84 @@ def _mask_to_set(mask: Optional[int], n: int) -> Optional[frozenset[int]]:
 
 
 class SearchTracer:
-    """Collects the search tree while the engine runs.
+    """Collects the search tree and its folded stacks while the engine runs.
 
     Use via :meth:`repro.core.matcher.DAFMatcher.search`::
 
         tracer = SearchTracer(num_query_vertices=q.num_vertices)
         matcher.search(prepared, tracer=tracer)
         print(tracer.render())
+
+    Parameters
+    ----------
+    num_query_vertices:
+        Width of the failing-set masks the engine reports.
+    keep_tree:
+        Build :attr:`roots` (``False`` keeps only the folded stacks).
+    max_folded_stacks:
+        Cap on distinct folded stacks; entries past it are counted in
+        :attr:`folded_dropped`.
     """
 
-    def __init__(self, num_query_vertices: int) -> None:
+    def __init__(
+        self,
+        num_query_vertices: int = 0,
+        keep_tree: bool = True,
+        max_folded_stacks: int = 10_000,
+    ) -> None:
         self.n = num_query_vertices
+        self.keep_tree = keep_tree
+        self.max_folded_stacks = max_folded_stacks
         self.roots: list[TraceNode] = []
+        self.folded: dict[tuple[int, ...], int] = {}
+        self.folded_dropped = 0
         self._stack: list[TraceNode] = []
+        self._path: list[int] = []
 
     # -- engine hooks ---------------------------------------------------
     def enter(self, query_vertex: int, data_vertex: int) -> None:
-        node = TraceNode(query_vertex, data_vertex)
-        if self._stack:
-            self._stack[-1].children.append(node)
+        self._path.append(query_vertex)
+        key = tuple(self._path)
+        count = self.folded.get(key)
+        if count is not None:
+            self.folded[key] = count + 1
+        elif len(self.folded) < self.max_folded_stacks:
+            self.folded[key] = 1
         else:
-            self.roots.append(node)
-        self._stack.append(node)
+            self.folded_dropped += 1
+        if self.keep_tree:
+            node = TraceNode(query_vertex, data_vertex)
+            self._attach(node)
+            self._stack.append(node)
 
     def leave(self, failing_set_mask: Optional[int], found_embedding: bool) -> None:
-        node = self._stack.pop()
-        node.failing_set = _mask_to_set(failing_set_mask, self.n)
-        if found_embedding:
-            node.outcome = "embedding"
+        self._path.pop()
+        if self.keep_tree:
+            node = self._stack.pop()
+            node.failing_set = _mask_to_set(failing_set_mask, self.n)
+            if found_embedding:
+                node.outcome = "embedding"
 
     def conflict(self, query_vertex: int, data_vertex: int, contribution_mask: int) -> None:
-        node = TraceNode(
-            query_vertex,
-            data_vertex,
-            outcome="conflict",
-            failing_set=_mask_to_set(contribution_mask, self.n),
-        )
-        (self._stack[-1].children if self._stack else self.roots).append(node)
+        if self.keep_tree:
+            self._attach(
+                TraceNode(
+                    query_vertex,
+                    data_vertex,
+                    outcome="conflict",
+                    failing_set=_mask_to_set(contribution_mask, self.n),
+                )
+            )
 
     def emptyset(self, query_vertex: int) -> None:
         if self._stack:
             self._stack[-1].outcome = "emptyset"
 
     def pruned(self, query_vertex: int, data_vertex: int) -> None:
-        node = TraceNode(query_vertex, data_vertex, outcome="pruned")
+        if self.keep_tree:
+            self._attach(TraceNode(query_vertex, data_vertex, outcome="pruned"))
+
+    def _attach(self, node: TraceNode) -> None:
         (self._stack[-1].children if self._stack else self.roots).append(node)
 
     # -- reporting --------------------------------------------------------
@@ -125,3 +165,20 @@ class SearchTracer:
         for root in self.roots:
             walk(root)
         return collected
+
+    def folded_stacks(self) -> dict[str, int]:
+        """Query-vertex stack histogram: ``"u0;u2;u3" -> entered count``."""
+        return {
+            ";".join(f"u{q}" for q in key): count for key, count in self.folded.items()
+        }
+
+    def folded_lines(self) -> list[str]:
+        """``flamegraph.pl``-compatible collapsed-stack lines, sorted so
+        the export is deterministic: ``u0;u2;u3 128``."""
+        return [f"{stack} {count}" for stack, count in sorted(self.folded_stacks().items())]
+
+    def write_folded(self, path) -> None:
+        """Write :meth:`folded_lines` to ``path`` (feed to flamegraph.pl)."""
+        with open(path, "w", encoding="utf-8") as stream:
+            for line in self.folded_lines():
+                stream.write(line + "\n")

@@ -218,7 +218,9 @@ class _CapacityEngine(BacktrackEngine):
                     free = self.capacities[h] - core_usage.get(h, 0)
                     slots.extend((h, k) for k in range(free))
                 slot_lists.append(slots)
-            group_count = _count_injective(slot_lists, cap=remaining, injective=True)
+            group_count = _count_injective(
+                slot_lists, cap=remaining, injective=True, deadline=self.deadline
+            )
             if group_count == 0:
                 failing = pinned
                 for u in label_leaves:

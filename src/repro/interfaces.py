@@ -278,6 +278,11 @@ class Deadline:
     def expired(self) -> bool:
         return self._deadline is not None and time.perf_counter() > self._deadline
 
+    def poll(self) -> None:
+        """Unthrottled :meth:`tick`: raise if the deadline has passed."""
+        if self.expired():
+            raise TimeoutSignal
+
 
 class UnsupportedOptionError(TypeError):
     """A :class:`MatchRequest` carried options this matcher cannot honor.

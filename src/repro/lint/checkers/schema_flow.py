@@ -11,18 +11,19 @@ call site, the solved dataflow fact for ``x`` must show one of:
   on this path;
 - **helper evidence** — ``x`` is the return value of a resolvable
   emitter helper all of whose returns are themselves schema-evident
-  (``_stamp``, ``ExplainReport.event``, ``SloWatchdog.evaluate`` — the
-  helper is analyzed with the call site's argument facts bound, one
-  level of context sensitivity, recursion-safe);
+  (``_stamp``, ``ExplainReport.event`` — the helper is analyzed with
+  the call site's argument facts bound, one level of context
+  sensitivity, recursion-safe);
 - **forwarding evidence** — ``x`` is a parameter of the enclosing
   function (the *caller's* emit/call site is where the payload is
   checked; sinks and registries forward verbatim);
 - **channel evidence** — ``x`` came from ``conn.recv()`` or
   ``json.loads(...)``: replayed events were validated where they were
-  produced (the JSONL contract), not at the replay site;
-- **container evidence** — ``x`` is an element of a list/tuple whose
-  every inserted value was evident (``fired.append({...}); return
-  fired`` then ``for alert in fired: emit(dict(alert))``).
+  produced (the JSONL contract), not at the replay site.
+
+A list or tuple carries no evidence, and neither does an element drawn
+from one: a payload collected into a container must be re-vouched
+before it reaches ``emit``.
 
 ``dict(x)`` copies preserve evidence.  In addition, a subscript store
 ``payload["field"] = ...`` into a payload whose evidence names a known
@@ -54,9 +55,8 @@ class Ev:
     vouched for; ``event`` names the event when the evidence pins one
     (enabling field checks on later subscript stores)."""
 
-    kind: str  # "event" | "validated" | "param" | "channel" | "helper" | "list"
+    kind: str  # "event" | "validated" | "param" | "channel" | "helper"
     event: Optional[str] = None
-    ok: bool = True  # for "list": every inserted element was evident
 
 
 class _EvidenceDomain(Domain):
@@ -69,8 +69,8 @@ class _EvidenceDomain(Domain):
     def join(self, a: object, b: object) -> object:
         assert isinstance(a, Ev) and isinstance(b, Ev)
         if a.kind == b.kind and a.event == b.event:
-            return Ev(a.kind, a.event, a.ok and b.ok)
-        return Ev("event", None, a.ok and b.ok)
+            return a
+        return Ev("event")
 
     def initial_env(self, cfg) -> Env:
         if self._param_env is not None:
@@ -104,15 +104,13 @@ class _EvidenceDomain(Domain):
         return None
 
     def sequence_fact(self, expr: ast.AST, env: Env) -> Optional[object]:
-        elements = [self.eval(elt, env) for elt in expr.elts]  # type: ignore[attr-defined]
-        return Ev("list", ok=all(isinstance(e, Ev) for e in elements))
+        for elt in expr.elts:  # type: ignore[attr-defined]
+            self.eval(elt, env)
+        return None
 
     def iterate_fact(self, iter_fact, iter_expr, env):
-        if isinstance(iter_fact, Ev):
-            if iter_fact.kind == "list":
-                return Ev("event") if iter_fact.ok else None
-            if iter_fact.kind == "channel":
-                return Ev("channel")
+        if isinstance(iter_fact, Ev) and iter_fact.kind == "channel":
+            return Ev("channel")
         return None
 
     def call_fact(self, call: ast.Call, env: Env) -> Optional[object]:
@@ -136,17 +134,6 @@ class _EvidenceDomain(Domain):
                 return inner
         if name in ("recv", "loads") and isinstance(func, ast.Attribute):
             return Ev("channel")
-        if name == "append" and isinstance(func, ast.Attribute):
-            # fired.append(x): fold x's evidence into the list fact.
-            base = func.value
-            if isinstance(base, ast.Name) and call.args:
-                existing = env.get(base.id)
-                if isinstance(existing, Ev) and existing.kind == "list":
-                    inserted = self.eval(call.args[0], env)
-                    env[base.id] = Ev(
-                        "list", ok=existing.ok and isinstance(inserted, Ev)
-                    )
-            return None
         # Emitter-helper evidence: analyze the callee's returns with this
         # call site's argument facts bound.
         if self._info is not None:

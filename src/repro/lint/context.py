@@ -12,13 +12,17 @@ Suppressions are per-line: a trailing ``# lint: ignore[SCH001]`` (or a
 comma-separated list of ids, or bare ``# lint: ignore`` for all checks)
 silences findings anchored to that line.  There is no file- or
 project-level suppression on purpose — every exception stays visible at
-the site that needs it.
+the site that needs it.  A suppression comment naming an id that no
+registered checker owns silences nothing; the engine reports it as a
+``SUPPRESSION`` finding (:meth:`LintContext.suppression_ids`).
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -135,6 +139,24 @@ class LintContext:
         if ids is None:
             return True
         return check_id in {part.strip() for part in ids.split(",")}
+
+    def suppression_ids(self) -> Iterator[tuple[str, int, str]]:
+        """``(relpath, line, id)`` for every id a ``# lint: ignore[...]``
+        comment names (comments only: docstrings that show the syntax do
+        not count)."""
+        for module in self.modules():
+            if not any("lint:" in line for line in module.lines):
+                continue
+            source = io.StringIO("\n".join(module.lines) + "\n")
+            for token in tokenize.generate_tokens(source.readline):
+                if token.type != tokenize.COMMENT:
+                    continue
+                match = _SUPPRESS_RE.search(token.string)
+                if match is None or match.group(1) is None:
+                    continue
+                for part in match.group(1).split(","):
+                    if part.strip():
+                        yield module.relpath, token.start[0], part.strip()
 
     # -- documentation corpus -------------------------------------------
     def doc_corpus(self) -> list[tuple[str, str]]:

@@ -35,6 +35,10 @@ from .findings import Finding
 from . import checkers as _checkers  # noqa: F401  — populate the registry
 
 
+#: Pseudo check id of a suppression comment naming an unregistered id.
+SUPPRESSION_CHECK_ID = "SUPPRESSION"
+
+
 class UnknownCheckError(ValueError):
     """A ``--select``/``--ignore`` id that no registered checker claims."""
 
@@ -144,8 +148,10 @@ def run_lint_report(
     ``jobs > 1`` parallelizes map-reduce checkers per file.  With
     ``baseline``, findings matching the baseline's fingerprints are
     suppressed and counted; stale entries surface as ``BASELINE``
-    errors.  ``update_baseline`` instead rewrites the baseline to accept
-    exactly the current findings (carrying over existing reasons).
+    errors.  A suppression comment naming an unregistered id surfaces as
+    a ``SUPPRESSION`` error on every run, whatever ``select`` names.
+    ``update_baseline`` instead rewrites the baseline to accept exactly
+    the current findings (carrying over existing reasons).
     """
     started = time.perf_counter()
     selected = _resolve_ids(select)
@@ -166,6 +172,20 @@ def run_lint_report(
             raw.update(checker.check(ctx))
     if parallel:
         raw.update(_run_parallel(ctx, parallel, jobs))
+    raw.update(
+        Finding(
+            path=relpath,
+            line=line,
+            check_id=SUPPRESSION_CHECK_ID,
+            severity="error",
+            message=(
+                f"suppression names {check_id!r}, which no registered checker "
+                "owns, so it silences nothing: fix the id or delete the comment"
+            ),
+        )
+        for relpath, line, check_id in ctx.suppression_ids()
+        if check_id not in ALL_CHECKERS
+    )
     findings = sorted(
         finding
         for finding in raw

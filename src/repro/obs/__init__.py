@@ -8,18 +8,17 @@ first-class, always-available layer across every matcher in the repo:
   spans (``dag_build`` / ``cs_construct`` / ``cs_refine`` / ``order`` /
   ``search``) and per-query-vertex candidate histograms.  Attach to any
   matcher via its ``observer`` attribute; read ``result.stats.metrics``.
-- :class:`EventSink` / :class:`JsonlSink` / :class:`MemorySink` /
-  :class:`TeeSink` — structured JSONL event output (schema in
-  :mod:`repro.obs.schema`, documented in ``docs/observability.md``).
-- :class:`SamplingTracer` — Figure-6-style search-tree inspection that
-  scales: every N-th node plus *all* failure leaves, bounded memory.
+- :class:`EventSink` / :class:`JsonlSink` / :class:`MemorySink` —
+  structured JSONL event output (schema in :mod:`repro.obs.schema`,
+  documented in ``docs/observability.md``).
 - :class:`ProgressReporter` — throttled heartbeats (calls/sec, depth,
   and for parallel search per-slice liveness + completion ETA).
 - :mod:`repro.obs.telemetry` — request-scoped tracing
-  (:class:`TraceContext` / :class:`TraceIdAllocator`), streaming window
-  aggregation (:class:`TelemetryAggregator`,
-  :class:`StreamingHistogram`) and the SLO watchdog (:class:`SloRule` /
-  :class:`SloWatchdog`), surfaced by ``repro trace show`` / ``repro top``.
+  (:class:`TraceContext` / :class:`TraceIdAllocator`), surfaced by
+  ``repro trace show``.
+
+The search-tree tracer (Figs. 6 and 8, plus folded-stack export) is
+:class:`repro.core.SearchTracer`.
 
 The zero-overhead contract: with no observer attached the engines hold
 ``None`` and perform no observability work at all — results are
@@ -36,7 +35,6 @@ from .metrics import (
     render_snapshot,
 )
 from .progress import ProgressReporter, slice_eta
-from .sampling import SamplingTracer, TraceRecord
 from .schema import (
     EVENT_SCHEMAS,
     TRACE_FIELDS,
@@ -44,16 +42,10 @@ from .schema import (
     validate_jsonl,
     validate_lines,
 )
-from .sinks import EventSink, JsonlSink, MemorySink, TeeSink
+from .sinks import EventSink, JsonlSink, MemorySink
 from .telemetry import (
-    SloRule,
-    SloWatchdog,
-    StreamingHistogram,
-    TelemetryAggregator,
     TraceContext,
     TraceIdAllocator,
-    default_slo_rules,
-    render_top,
     render_trace_list,
     render_trace_tree,
 )
@@ -92,25 +84,16 @@ __all__ = [
     "PHASES",
     "ProgressReporter",
     "QueryPlan",
-    "SamplingTracer",
-    "SloRule",
-    "SloWatchdog",
-    "StreamingHistogram",
     "TRACE_FIELDS",
-    "TeeSink",
-    "TelemetryAggregator",
     "TraceContext",
     "TraceIdAllocator",
-    "TraceRecord",
     "VERTEX_COUNTERS",
-    "default_slo_rules",
     "diff_reports",
     "explain_analyze",
     "hotspot_rows",
     "load_report",
     "render_hotspots",
     "render_snapshot",
-    "render_top",
     "render_trace_list",
     "render_trace_tree",
     "slice_eta",

@@ -95,10 +95,6 @@ EVENT_SCHEMAS: dict[str, tuple[dict[str, Callable], dict[str, Callable]]] = {
             "embeddings": _int,
         },
     ),
-    "trace": (
-        {"kind": _str, "query_vertex": _int, "data_vertex": _int, "depth": _int},
-        {"failing_set": _int},
-    ),
     "worker": (
         {"slice": _int, "status": _str, "attempts": _int},
         {
@@ -203,40 +199,6 @@ EVENT_SCHEMAS: dict[str, tuple[dict[str, Callable], dict[str, Callable]]] = {
             "embeddings_found": _int,
         },
         {"scope": _str, "slice": _int},
-    ),
-    # Telemetry events (repro.obs.telemetry): one telemetry.window per
-    # closed aggregation window, one telemetry.alert per SLO rule breach.
-    "telemetry.window": (
-        {"index": _int, "requests": _int},
-        {
-            "errors": _int,
-            "p50_seconds": _number,
-            "p95_seconds": _number,
-            "p99_seconds": _number,
-            "cache_hits": _int,
-            "cache_misses": _int,
-            "cache_hit_rate": _number,
-            "recursive_calls": _int,
-            "embeddings": _int,
-            "calls_per_embedding": _number,
-            "worker_outcomes": _int,
-            "worker_crashes": _int,
-            "worker_retries": _int,
-            "crash_rate": _number,
-            "resumes": _int,
-            "alerts": _int,
-        },
-    ),
-    "telemetry.alert": (
-        {
-            "rule": _str,
-            "metric": _str,
-            "value": _number,
-            "threshold": _number,
-            "op": _str,
-            "window": _int,
-        },
-        {},
     ),
     # Chaos-harness events (repro.resilience.chaos): one chaos.run per
     # scenario swept, reporting whether the faulted run's final answer

@@ -4,8 +4,8 @@ Every event is one JSON-serializable dict with at least an ``"event"``
 type tag and a ``"ts"`` wall-clock timestamp (added by the sink when the
 producer did not set one).  Sinks are deliberately tiny: the hot paths
 never talk to a sink directly — the :class:`~repro.obs.MetricsRegistry`
-batches counters and only phase boundaries, heartbeats and sampled trace
-nodes reach ``emit``.
+batches counters and only phase boundaries and heartbeats reach
+``emit``.
 
 The JSONL format (one event object per line) is documented in
 ``docs/observability.md`` and validated by
@@ -87,18 +87,3 @@ class JsonlSink(EventSink):
         if self._owns_stream and self._stream is not None:
             self._stream.close()
             self._stream = None
-
-
-class TeeSink(EventSink):
-    """Fans one event stream out to several sinks."""
-
-    def __init__(self, *sinks: EventSink) -> None:
-        self.sinks = [s for s in sinks if s is not None]
-
-    def emit(self, event: dict) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()

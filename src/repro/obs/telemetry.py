@@ -1,61 +1,30 @@
-"""Request-scoped tracing, live telemetry aggregation, SLO watchdog.
+"""Request-scoped tracing and the ``repro trace show`` helpers.
 
-Three layers on top of the flat event stream (docs/observability.md):
+:class:`TraceContext` carries a ``trace_id`` plus hierarchical
+``span_id`` / ``parent_span_id`` strings and stamps them onto every
+event a :class:`~repro.obs.MetricsRegistry` emits.  Ids are
+deterministic: trace ids come from a session-scoped
+:class:`TraceIdAllocator` counter and span ids are derived purely from
+the request *structure* (``s0`` → ``s0.w2a1`` for worker slice 2,
+attempt 1; ``.resume`` for a checkpoint continuation; ``.dup<i>`` for a
+batch-dedup follower) — never from wall clock or randomness, so
+same-seed reruns produce bit-identical ids and forked workers can stamp
+their own spans without coordination (the DET001 invariant).  The
+context travels the parallel result pipe inside ``_shared["observe"]``
+and rides :class:`SearchCheckpoint.trace` payloads, so one ``trace_id``
+reconstructs the full request tree including crash-retry and resume
+lineage.
 
-- **Correlated tracing** — :class:`TraceContext` carries a ``trace_id``
-  plus hierarchical ``span_id`` / ``parent_span_id`` strings and stamps
-  them onto every event a :class:`~repro.obs.MetricsRegistry` emits.
-  Ids are deterministic: trace ids come from a session-scoped
-  :class:`TraceIdAllocator` counter and span ids are derived purely from
-  the request *structure* (``s0`` → ``s0.w2a1`` for worker slice 2,
-  attempt 1; ``.resume`` for a checkpoint continuation; ``.dup<i>`` for
-  a batch-dedup follower) — never from wall clock or randomness, so
-  same-seed reruns produce bit-identical ids and forked workers can
-  stamp their own spans without coordination (the DET001 invariant).
-  The context travels the parallel result pipe inside
-  ``_shared["observe"]`` and rides :class:`SearchCheckpoint.trace`
-  payloads, so one ``trace_id`` reconstructs the full request tree
-  including crash-retry and resume lineage.
-- **Streaming aggregation** — :class:`TelemetryAggregator` is an
-  :class:`~repro.obs.EventSink` that folds the stream into rolling
-  windows keyed on *completed requests* (deterministic, unlike
-  wall-clock windows): fixed-bucket :class:`StreamingHistogram` latency
-  percentiles (p50/p95/p99), cache hit-rate, recursive-calls-per-
-  embedding, worker crash/retry/resume rates.  Every closed window emits
-  one schema'd ``telemetry.window`` event; :meth:`export` returns the
-  JSON document ``scripts/check_metrics_schema.py`` validates.
-- **SLO watchdog** — :class:`SloWatchdog` evaluates declarative
-  :class:`SloRule` thresholds against each closed window, emits
-  ``telemetry.alert`` events, and invokes subscribed callbacks (the hook
-  ``ResilientMatcher``/``BatchEngine`` can attach ops reactions to).
-
-The CLI surfaces are ``repro trace show`` (tree-rendered request
-timeline, :func:`render_trace_tree`) and ``repro top`` (live window /
-alert summary, :func:`render_top`).
+``repro trace show`` reads a recorded JSONL stream back
+(:func:`read_events`, :func:`collect_traces`) and renders either one
+line per trace (:func:`render_trace_list`) or one trace's span tree
+(:func:`render_trace_tree`).
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
-
-from .schema import validate_event
-from .sinks import EventSink
-
-#: Schema tag of the JSON document :meth:`TelemetryAggregator.export`
-#: produces (recognized by ``scripts/check_metrics_schema.py``).
-TELEMETRY_SCHEMA = "repro.obs.telemetry"
-
-#: Default latency bucket upper bounds (seconds), geometric from 0.1 ms
-#: to one minute.  Percentile estimates report a bucket's upper edge, so
-#: they are conservative and monotone; values past the last bound fall
-#: into an overflow bucket that reports the observed maximum.
-DEFAULT_LATENCY_BOUNDS: tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
-)
+from typing import Iterable, Optional
 
 
 # ----------------------------------------------------------------------
@@ -159,389 +128,7 @@ def resumed_context(payload: Optional[dict], name: str = "resume") -> Optional[T
 
 
 # ----------------------------------------------------------------------
-# Streaming histograms
-# ----------------------------------------------------------------------
-class StreamingHistogram:
-    """Fixed-bucket histogram for percentile estimation over a stream.
-
-    O(1) memory, O(log buckets) per observation, deterministic: the
-    estimate for a quantile is the upper edge of the bucket holding it
-    (the overflow bucket reports the observed maximum), so estimates
-    never understate and are monotone in the quantile.
-    """
-
-    __slots__ = ("bounds", "counts", "total", "_max")
-
-    def __init__(self, bounds: Iterable[float] = DEFAULT_LATENCY_BOUNDS) -> None:
-        self.bounds = tuple(sorted(bounds))
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.counts = [0] * (len(self.bounds) + 1)  # + overflow bucket
-        self.total = 0
-        self._max = 0.0
-
-    def add(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.total += 1
-        if value > self._max:
-            self._max = value
-
-    def percentile(self, q: float) -> Optional[float]:
-        """The ``q``-th percentile estimate (``q`` in [0, 100])."""
-        if self.total == 0:
-            return None
-        rank = max(1, -(-int(q * self.total) // 100))  # ceil(q/100 * total)
-        cumulative = 0
-        for index, count in enumerate(self.counts):
-            cumulative += count
-            if cumulative >= rank:
-                if index < len(self.bounds):
-                    return min(self.bounds[index], self._max) or self.bounds[index]
-                return self._max
-        return self._max  # pragma: no cover - rank <= total by construction
-
-    @property
-    def max_value(self) -> float:
-        return self._max
-
-
-# ----------------------------------------------------------------------
-# SLO watchdog
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SloRule:
-    """One declarative threshold over a window summary metric.
-
-    ``op`` is the *allowed* relation: ``"<="`` means the metric must stay
-    at or below ``threshold`` (a ceiling — p95 latency, crash rate);
-    ``">="`` means it must stay at or above (a floor — cache hit-rate).
-    A window missing the metric (e.g. no cache lookups yet) never fires.
-    """
-
-    name: str
-    metric: str
-    op: str  # "<=" (ceiling) | ">=" (floor)
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if self.op not in ("<=", ">="):
-            raise ValueError(f"SloRule op must be '<=' or '>=', got {self.op!r}")
-
-    def breached(self, window: dict) -> bool:
-        value = window.get(self.metric)
-        if value is None:
-            return False
-        return value > self.threshold if self.op == "<=" else value < self.threshold
-
-
-def default_slo_rules(
-    p95_seconds: Optional[float] = None,
-    hit_rate_floor: Optional[float] = None,
-    crash_rate_ceiling: Optional[float] = None,
-) -> list[SloRule]:
-    """Rules for the three thresholds the serving stack cares about;
-    ``None`` thresholds are simply omitted."""
-    rules = []
-    if p95_seconds is not None:
-        rules.append(SloRule("p95_latency", "p95_seconds", "<=", p95_seconds))
-    if hit_rate_floor is not None:
-        rules.append(SloRule("cache_hit_rate", "cache_hit_rate", ">=", hit_rate_floor))
-    if crash_rate_ceiling is not None:
-        rules.append(SloRule("worker_crash_rate", "crash_rate", "<=", crash_rate_ceiling))
-    return rules
-
-
-class SloWatchdog:
-    """Evaluates :class:`SloRule` thresholds against each closed window.
-
-    Alerts are returned (and kept in :attr:`alerts`) as ready-to-emit
-    ``telemetry.alert`` event dicts; :meth:`subscribe` registers
-    callbacks invoked with each alert — the hook a self-driving ops loop
-    (or ``ResilientMatcher``/``BatchEngine``) attaches reactions to.
-    """
-
-    def __init__(self, rules: Iterable[SloRule] = ()) -> None:
-        self.rules: list[SloRule] = list(rules)
-        self.alerts: list[dict] = []
-        self._callbacks: list[Callable[[dict], None]] = []
-
-    def subscribe(self, callback: Callable[[dict], None]) -> None:
-        self._callbacks.append(callback)
-
-    def evaluate(self, window: dict) -> list[dict]:
-        fired: list[dict] = []
-        for rule in self.rules:
-            if not rule.breached(window):
-                continue
-            alert = {
-                "event": "telemetry.alert",
-                "rule": rule.name,
-                "metric": rule.metric,
-                "value": round(float(window[rule.metric]), 6),
-                "threshold": rule.threshold,
-                "op": rule.op,
-                "window": int(window.get("index", 0)),
-            }
-            fired.append(alert)
-        self.alerts.extend(fired)
-        for alert in fired:
-            for callback in self._callbacks:
-                callback(alert)
-        return fired
-
-
-# ----------------------------------------------------------------------
-# Streaming aggregation
-# ----------------------------------------------------------------------
-class _WindowState:
-    """Accumulators for one telemetry window (and for the totals)."""
-
-    __slots__ = (
-        "requests", "errors", "latency", "cache_hits", "cache_misses",
-        "recursive_calls", "embeddings", "worker_outcomes", "worker_crashes",
-        "worker_retries", "resumes",
-    )
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.errors = 0
-        self.latency = StreamingHistogram()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.recursive_calls = 0
-        self.embeddings = 0
-        self.worker_outcomes = 0
-        self.worker_crashes = 0
-        self.worker_retries = 0
-        self.resumes = 0
-
-    @property
-    def busy(self) -> bool:
-        return bool(
-            self.requests or self.worker_outcomes or self.resumes or self.errors
-        )
-
-    def summary(self, index: int) -> dict:
-        out: dict = {"index": index, "requests": self.requests, "errors": self.errors}
-        for q, key in ((50, "p50_seconds"), (95, "p95_seconds"), (99, "p99_seconds")):
-            value = self.latency.percentile(q)
-            if value is not None:
-                out[key] = round(value, 6)
-        out["cache_hits"] = self.cache_hits
-        out["cache_misses"] = self.cache_misses
-        lookups = self.cache_hits + self.cache_misses
-        if lookups:
-            out["cache_hit_rate"] = round(self.cache_hits / lookups, 6)
-        out["recursive_calls"] = self.recursive_calls
-        out["embeddings"] = self.embeddings
-        if self.embeddings:
-            out["calls_per_embedding"] = round(
-                self.recursive_calls / self.embeddings, 6
-            )
-        out["worker_outcomes"] = self.worker_outcomes
-        out["worker_crashes"] = self.worker_crashes
-        out["worker_retries"] = self.worker_retries
-        if self.worker_outcomes:
-            out["crash_rate"] = round(self.worker_crashes / self.worker_outcomes, 6)
-        out["resumes"] = self.resumes
-        return out
-
-
-#: Worker statuses counted as crashes for the crash-rate metric.
-_CRASH_STATUSES = frozenset({"crashed", "error", "killed"})
-
-
-class TelemetryAggregator(EventSink):
-    """Folds an event stream into rolling windows, live.
-
-    Attach it as (part of) a registry's sink — typically
-    ``TeeSink(jsonl_sink, aggregator)`` with ``out=jsonl_sink`` so the
-    ``telemetry.window`` / ``telemetry.alert`` snapshots land in the same
-    JSONL file as the raw events — or feed it a recorded stream offline
-    (``repro top`` does exactly that).
-
-    Parameters
-    ----------
-    window_requests:
-        Close a window after this many completed requests
-        (``batch.request`` / ``run_end`` events).  Request-count keying
-        keeps window boundaries deterministic across reruns.
-    out:
-        Optional sink receiving the ``telemetry.window`` and
-        ``telemetry.alert`` events (never fed back into this aggregator).
-    watchdog:
-        Optional :class:`SloWatchdog` evaluated on every closed window.
-    history:
-        Closed-window summaries retained for :meth:`export` / rendering.
-    """
-
-    def __init__(
-        self,
-        window_requests: int = 16,
-        out: Optional[EventSink] = None,
-        watchdog: Optional[SloWatchdog] = None,
-        history: int = 256,
-    ) -> None:
-        if window_requests < 1:
-            raise ValueError("window_requests must be >= 1")
-        if history < 1:
-            raise ValueError("history must be >= 1")
-        self.window_requests = window_requests
-        self.out = out
-        self.watchdog = watchdog if watchdog is not None else SloWatchdog()
-        self.history = history
-        self.windows: list[dict] = []
-        self._dropped_windows = 0
-        self._window = _WindowState()
-        self._totals = _WindowState()
-        self._next_index = 0
-
-    # -- consumption ---------------------------------------------------
-    def emit(self, event: dict) -> None:
-        event_type = event.get("event")
-        if event_type in ("batch.request", "run_end"):
-            self._observe_request(event, event_type)
-            if self._window.requests >= self.window_requests:
-                self._close_window()
-        elif event_type == "worker":
-            self._observe_worker(event)
-        elif event_type == "checkpoint.resume":
-            self._window.resumes += 1
-            self._totals.resumes += 1
-        # telemetry.* events are our own output; everything else (spans,
-        # counters, progress, ...) is per-request detail the windows
-        # already capture through the request summaries.
-
-    def _observe_request(self, event: dict, event_type: str) -> None:
-        for state in (self._window, self._totals):
-            state.requests += 1
-            if event_type == "batch.request":
-                if event.get("status") != "ok":
-                    state.errors += 1
-                cache = event.get("cache")
-                if cache == "hit":
-                    state.cache_hits += 1
-                elif cache == "miss":
-                    state.cache_misses += 1
-                latency = event.get("elapsed_seconds")
-            else:  # run_end: one whole-search completion
-                if not event.get("solved", True):
-                    state.errors += 1
-                latency = event.get("spans", {}).get("search")
-            if isinstance(latency, (int, float)) and not isinstance(latency, bool):
-                state.latency.add(float(latency))
-            calls = event.get("recursive_calls")
-            if isinstance(calls, int) and not isinstance(calls, bool):
-                state.recursive_calls += calls
-            found = event.get("embeddings")
-            if isinstance(found, int) and not isinstance(found, bool):
-                state.embeddings += found
-
-    def _observe_worker(self, event: dict) -> None:
-        for state in (self._window, self._totals):
-            state.worker_outcomes += 1
-            if event.get("status") in _CRASH_STATUSES:
-                state.worker_crashes += 1
-            attempts = event.get("attempts")
-            if isinstance(attempts, int) and attempts > 1:
-                state.worker_retries += attempts - 1
-
-    # -- windows -------------------------------------------------------
-    def _close_window(self) -> None:
-        summary = self._window.summary(self._next_index)
-        self._next_index += 1
-        self._window = _WindowState()
-        alerts = self.watchdog.evaluate(summary)
-        summary["alerts"] = len(alerts)
-        self.windows.append(summary)
-        if len(self.windows) > self.history:
-            # Bounded memory for long-lived sessions; export() reports
-            # how many early windows were dropped rather than hiding it.
-            self._dropped_windows += len(self.windows) - self.history
-            del self.windows[: len(self.windows) - self.history]
-        if self.out is not None:
-            self.out.emit({"event": "telemetry.window", **summary})
-            for alert in alerts:
-                self.out.emit(dict(alert))
-
-    def flush(self) -> None:
-        """Close the current window early if it saw any activity."""
-        if self._window.busy:
-            self._close_window()
-
-    def close(self) -> None:
-        self.flush()
-
-    # -- reporting -----------------------------------------------------
-    def summary(self) -> dict:
-        """Rolling totals across every window (closed and current)."""
-        totals = self._totals.summary(index=self._next_index)
-        totals["windows"] = len(self.windows) + self._dropped_windows
-        totals["alerts"] = len(self.watchdog.alerts)
-        del totals["index"]
-        return totals
-
-    def export(self) -> dict:
-        """The JSON document validated by ``check_metrics_schema.py``."""
-        return {
-            "schema": TELEMETRY_SCHEMA,
-            "window_requests": self.window_requests,
-            "dropped_windows": self._dropped_windows,
-            "windows": [dict(w) for w in self.windows],
-            "alerts": [
-                {k: v for k, v in alert.items() if k != "event"}
-                for alert in self.watchdog.alerts
-            ],
-            "totals": self.summary(),
-        }
-
-    def export_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as stream:
-            json.dump(self.export(), stream, indent=2)
-            stream.write("\n")
-
-
-def validate_export(path) -> list[str]:
-    """Validate a :meth:`TelemetryAggregator.export` JSON document.
-
-    Windows and alerts are checked against the ``telemetry.window`` /
-    ``telemetry.alert`` event schemas (the export rows are exactly the
-    event payloads minus the ``event``/``ts`` tags)."""
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            document = json.load(stream)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"not a readable JSON document: {exc}"]
-    if not isinstance(document, dict) or document.get("schema") != TELEMETRY_SCHEMA:
-        return [f"missing schema tag {TELEMETRY_SCHEMA!r}"]
-    errors: list[str] = []
-    windows = document.get("windows")
-    if not isinstance(windows, list):
-        errors.append("'windows' must be an array")
-        windows = []
-    for position, window in enumerate(windows):
-        if not isinstance(window, dict):
-            errors.append(f"windows[{position}]: not an object")
-            continue
-        for error in validate_event({"event": "telemetry.window", **window}):
-            errors.append(f"windows[{position}]: {error}")
-    alerts = document.get("alerts")
-    if not isinstance(alerts, list):
-        errors.append("'alerts' must be an array")
-        alerts = []
-    for position, alert in enumerate(alerts):
-        if not isinstance(alert, dict):
-            errors.append(f"alerts[{position}]: not an object")
-            continue
-        for error in validate_event({"event": "telemetry.alert", **alert}):
-            errors.append(f"alerts[{position}]: {error}")
-    if not isinstance(document.get("totals"), dict):
-        errors.append("'totals' must be an object")
-    return errors
-
-
-# ----------------------------------------------------------------------
-# Offline tooling: trace trees and the `repro top` report
+# Offline tooling: `repro trace show`
 # ----------------------------------------------------------------------
 def read_events(path) -> list[dict]:
     """Parse a metrics JSONL file tolerantly (torn tail lines skipped)."""
@@ -738,51 +325,4 @@ def render_trace_list(traces: dict[str, list[dict]]) -> str:
         if resumes:
             summary += f" resumes={resumes}"
         lines.append(f"{trace_id:<10s} {len(events):>6d} {len(spans):>5d}  {summary}")
-    return "\n".join(lines)
-
-
-def render_top(aggregator: TelemetryAggregator, windows: int = 8) -> str:
-    """Terminal summary of live windows and firing alerts (``repro top``)."""
-    totals = aggregator.summary()
-    lines = [
-        "telemetry: "
-        f"{totals['requests']} request(s), {totals['windows']} window(s), "
-        f"{totals['alerts']} alert(s)"
-    ]
-    def fmt(value, pattern="{:.4f}", missing="-"):
-        return pattern.format(value) if value is not None else missing
-
-    lines.append(
-        "totals:    "
-        f"p50={fmt(totals.get('p50_seconds'))}s "
-        f"p95={fmt(totals.get('p95_seconds'))}s "
-        f"p99={fmt(totals.get('p99_seconds'))}s "
-        f"hit_rate={fmt(totals.get('cache_hit_rate'), '{:.1%}')} "
-        f"crash_rate={fmt(totals.get('crash_rate'), '{:.1%}')} "
-        f"resumes={totals.get('resumes', 0)}"
-    )
-    recent = aggregator.windows[-windows:]
-    if recent:
-        lines.append(
-            f"{'window':>6s} {'req':>5s} {'err':>4s} {'p50(s)':>8s} {'p95(s)':>8s} "
-            f"{'p99(s)':>8s} {'hit%':>6s} {'crash%':>7s} {'resume':>6s} {'alert':>5s}"
-        )
-        for window in recent:
-            lines.append(
-                f"{window['index']:>6d} {window['requests']:>5d} "
-                f"{window.get('errors', 0):>4d} "
-                f"{fmt(window.get('p50_seconds'), '{:.4f}'):>8s} "
-                f"{fmt(window.get('p95_seconds'), '{:.4f}'):>8s} "
-                f"{fmt(window.get('p99_seconds'), '{:.4f}'):>8s} "
-                f"{fmt(window.get('cache_hit_rate'), '{:.1%}'):>6s} "
-                f"{fmt(window.get('crash_rate'), '{:.1%}'):>7s} "
-                f"{window.get('resumes', 0):>6d} {window.get('alerts', 0):>5d}"
-            )
-    for alert in aggregator.watchdog.alerts:
-        relation = ">" if alert["op"] == "<=" else "<"
-        lines.append(
-            f"ALERT [w{alert['window']}] {alert['rule']}: "
-            f"{alert['metric']}={alert['value']} {relation} "
-            f"allowed {alert['op']} {alert['threshold']}"
-        )
     return "\n".join(lines)

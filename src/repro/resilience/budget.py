@@ -17,7 +17,7 @@ single governor over three dimensions:
   the enforcement points via :meth:`charge_memory` / :meth:`note_memory`.
 
 A ``Budget`` is duck-compatible with ``Deadline`` (``tick()`` /
-``expired()``), so every engine that accepts a deadline — the DAF
+``poll()`` / ``expired()``), so every engine that accepts a deadline — the DAF
 backtracking engine, the baselines' shared ``ordered_backtrack`` — accepts
 a budget unchanged.  On breach, ``tick()`` raises :class:`BudgetExceeded`,
 a subclass of :class:`~repro.interfaces.TimeoutSignal`, so existing

@@ -156,7 +156,7 @@ class PreparedQueryCache:
         :class:`~repro.core.matcher.PreparedQuery` valid against the
         mutated graph (incremental CS refresh) or ``None``, in which case
         the entry is dropped and counted as an *invalidation* — distinct
-        from a capacity eviction, so telemetry can separate churn from
+        from a capacity eviction, so the cache stats separate churn from
         pressure.  LRU recency is preserved.  Returns
         ``(refreshed, invalidated)`` entry counts.
 

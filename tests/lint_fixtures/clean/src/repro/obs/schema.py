@@ -2,6 +2,6 @@
 
 EVENT_SCHEMAS = {
     "ping": ({"x": int}, {"y": int}),
-    "telemetry.window": ({"index": int}, {"resumes": int}),
+    "stats.window": ({"index": int}, {"resumes": int}),
     "explain.report": ({"algorithm": str}, {"fs_cuts": int}),
 }

@@ -5,7 +5,7 @@ import random
 
 def run(obs, sink, xs):
     sink.emit({"event": "ping", "x": 1, "y": 2})
-    sink.emit({"event": "telemetry.window", "index": 0, "resumes": 1, "trace_id": "t1", "span_id": "s0"})
+    sink.emit({"event": "stats.window", "index": 0, "resumes": 1, "trace_id": "t1", "span_id": "s0"})
     sink.emit({"event": "explain.report", "algorithm": "demo", "fs_cuts": 0})
     obs.prune_demo += 1
     obs.resumes += 1

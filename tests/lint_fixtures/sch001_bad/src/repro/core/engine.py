@@ -12,8 +12,8 @@ def run(obs, sink, xs):
     obs.vertex_ghost[0] += 1
     obs.record_span("search", 0.0)
     obs.record_span("cooldown", 0.0)
-    sink.emit({"event": "telemetry.alert", "rule": "p95", "verdict": 1})
-    sink.emit({"event": "telemetry.window", "index": 0, "trace_id": "t1"})
+    sink.emit({"event": "stats.alert", "rule": "p95", "verdict": 1})
+    sink.emit({"event": "stats.window", "index": 0, "trace_id": "t1"})
     rng = random.Random(7)
     for v in sorted(xs):
         rng.random()

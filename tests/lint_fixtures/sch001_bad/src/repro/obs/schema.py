@@ -3,6 +3,6 @@
 EVENT_SCHEMAS = {
     "ping": ({"x": int}, {"y": int}),
     "dead_event": ({"z": int}, {}),
-    "telemetry.alert": ({"rule": int}, {}),
-    "telemetry.window": ({"index": int}, {}),
+    "stats.alert": ({"rule": int}, {}),
+    "stats.window": ({"index": int}, {}),
 }

@@ -13,6 +13,6 @@ def relay(sink, raw):
 
 
 def emit_window(sink, index):
-    payload = {"event": "telemetry.window", "index": index}
+    payload = {"event": "stats.window", "index": index}
     payload["bogus"] = 1
     sink.emit(payload)

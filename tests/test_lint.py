@@ -197,6 +197,21 @@ class TestEngine:
         assert not ctx.is_suppressed(module, lines[0], "SCH001")
         assert run_lint(root=FIXTURES / "clean", select=["DET001"]) == []
 
+    def test_unknown_suppression_id_is_reported_on_any_root(self):
+        findings = run_lint(root=FIXTURES / "stale_suppression")
+        assert [(f.path, f.line, f.check_id) for f in findings] == [
+            ("src/repro/core/legacy.py", 5, "SUPPRESSION"),
+            ("src/repro/core/legacy.py", 9, "SUPPRESSION"),
+        ]
+        assert "'IFC003'" in findings[0].message
+        assert "'NOPE99'" in findings[1].message
+        # The tree, not a checker, is at fault: any selection reports it.
+        assert run_lint(root=FIXTURES / "stale_suppression", select=["CLI001"]) == findings
+
+    def test_stale_suppression_fails_the_cli(self, capsys):
+        assert main(["lint", "--root", str(FIXTURES / "stale_suppression")]) == 1
+        assert "SUPPRESSION" in capsys.readouterr().out
+
     def test_catalog_lists_all_checkers_in_order(self):
         assert [check_id for check_id, _ in catalog()] == [
             "SCH001",

@@ -345,6 +345,23 @@ class TestMutationSmoke:
         assert [f.check_id for f in findings] == ["SCH002"]
         assert "no schema evidence" in findings[0].message
 
+    def test_payload_drawn_from_a_list_is_caught_by_sch002(self, tmp_path):
+        # A container carries no evidence, even when every element was a
+        # vetted literal: the element must be re-vouched before emit.
+        root = _mutate_tree(
+            tmp_path,
+            "src/repro/core/engine.py",
+            "    # Forwarded parameters are the caller's responsibility (SCH002).\n"
+            "    sink.emit(dict(payload))\n",
+            "    fired = []\n"
+            '    fired.append({"event": "ping", "x": 1})\n'
+            "    for alert in fired:\n"
+            "        sink.emit(dict(alert))\n",
+        )
+        findings = run_lint(root=root, select=["SCH002"])
+        assert [f.check_id for f in findings] == ["SCH002"]
+        assert "relay" in findings[0].message
+
     def test_conditional_tick_is_caught_by_bud002(self, tmp_path):
         root = _mutate_tree(
             tmp_path,

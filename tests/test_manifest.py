@@ -28,12 +28,12 @@ from repro.bench.compare import cell_key, classify
 from repro.bench.manifest import manifest_index
 from repro.bench.report import format_number, render_bar_chart, render_table
 from repro.cli import main
+from repro.core import SearchTracer
 from repro.interfaces import SearchStats
 from repro.obs import (
     VERTEX_COUNTERS,
     MemorySink,
     MetricsRegistry,
-    SamplingTracer,
     hotspot_rows,
     render_hotspots,
 )
@@ -386,10 +386,11 @@ class TestHotspots:
         out = tmp_path / "stacks.folded"
         tracer.write_folded(out)
         assert out.read_text().splitlines() == lines
-        assert tracer.summary()["folded_stacks"] == len(lines)
+        assert len(tracer.folded) == len(lines)
+        assert tracer.roots == []  # hotspots keeps only the bounded histogram
 
     def test_folded_stack_cap_counts_drops(self):
-        tracer = SamplingTracer(sample_every=1, max_folded_stacks=1)
+        tracer = SearchTracer(keep_tree=False, max_folded_stacks=1)
         query, data = paper_worked_example()
         registry = MetricsRegistry()
         matcher = DAFMatcher(MatchConfig(collect_embeddings=False)).with_observer(registry)
@@ -397,7 +398,17 @@ class TestHotspots:
         matcher.search(prepared, tracer=tracer)
         assert len(tracer.folded) == 1
         assert tracer.folded_dropped > 0
-        assert tracer.summary()["folded_dropped"] == tracer.folded_dropped
+
+    def test_tree_and_histogram_see_the_same_search(self):
+        query, data = paper_worked_example()
+        matcher = DAFMatcher(MatchConfig(collect_embeddings=False))
+        with_tree = SearchTracer(query.num_vertices)
+        bounded = SearchTracer(keep_tree=False)
+        for tracer in (with_tree, bounded):
+            matcher.search(matcher.prepare(query, data), tracer=tracer)
+        assert with_tree.folded == bounded.folded
+        entered = [n for n in with_tree.all_nodes() if n.outcome not in ("conflict", "pruned")]
+        assert sum(with_tree.folded.values()) == len(entered)
 
 
 class TestBenchCLI:
@@ -435,6 +446,13 @@ class TestBenchCLI:
         out = capsys.readouterr().out
         assert "per-vertex search effort" in out
         assert folded.read_text().startswith("u0")
+
+    def test_hotspots_folded_bytes_are_pinned(self, tmp_path, capsys):
+        # The default worked example's export, byte for byte.
+        folded = tmp_path / "stacks.folded"
+        assert main(["bench", "hotspots", "--folded", str(folded)]) == 0
+        capsys.readouterr()
+        assert folded.read_bytes() == b"u0 1\nu0;u1 12\nu0;u1;u3 132\nu0;u1;u3;u2 2\n"
 
     def test_hotspots_cli_requires_query_and_data_together(self):
         with pytest.raises(SystemExit, match="together"):

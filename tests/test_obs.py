@@ -27,9 +27,9 @@ from repro import (
     MetricsRegistry,
     ProgressReporter,
     ResilientMatcher,
-    SamplingTracer,
 )
 from repro.baselines import ALL_BASELINES
+from repro.core import SearchTracer
 from repro.extensions import ParallelDAFMatcher
 from repro.graph import ensure_connected, gnm_random_graph
 from repro.interfaces import Matcher
@@ -299,54 +299,28 @@ class TestProgressReporter:
         assert slice_eta(8, 8, 10.0) == pytest.approx(0.0)
 
 
-class TestSamplingTracer:
-    def test_systematic_sampling_and_failure_leaves(self):
-        tracer = SamplingTracer(sample_every=3)
-        for i in range(9):
-            tracer.enter(0, i)
-            tracer.leave(None, False)
-        tracer.conflict(1, 5, contribution_mask=0b11)
-        tracer.emptyset(2)
-        summary = tracer.summary()
-        assert summary["nodes_seen"] == 9
-        assert summary["by_kind"]["node"] == 3  # every 3rd entry
-        leaves = tracer.failure_leaves()
-        assert {r.kind for r in leaves} == {"conflict", "emptyset"}
-        assert leaves[0].failing_set == 0b11
-        assert leaves[1].data_vertex == -1
-
-    def test_pruned_counted_not_materialized(self):
-        tracer = SamplingTracer(sample_every=1)
+class TestSearchTracerWithoutTree:
+    def test_pruned_and_leaves_are_not_materialized(self):
+        tracer = SearchTracer(keep_tree=False)
+        tracer.enter(0, 1)
         for _ in range(5):
             tracer.pruned(1, 2)
-        assert tracer.pruned_seen == 5
-        assert tracer.records == []
-
-    def test_max_records_caps_and_counts_drops(self):
-        tracer = SamplingTracer(sample_every=1, max_records=2)
-        for i in range(5):
-            tracer.enter(0, i)
-        assert len(tracer.records) == 2
-        assert tracer.dropped == 3
-
-    def test_trace_events_validate(self):
-        sink = MemorySink()
-        tracer = SamplingTracer(sample_every=1, sink=sink)
-        tracer.enter(0, 7)
-        tracer.conflict(1, 3, contribution_mask=1)
-        for event in sink.events:
-            assert validate_event(event) == []
+        tracer.conflict(1, 5, contribution_mask=0b11)
+        tracer.emptyset(2)
+        tracer.leave(None, False)
+        assert tracer.roots == []
+        assert tracer.folded == {(0,): 1}
 
     def test_attaches_to_engine_tracer_hook(self):
-        # The sampling tracer speaks the core SearchTracer protocol.
         query = Graph(labels=["A", "B"], edges=[(0, 1)])
         data = Graph(labels=["A", "B", "B"], edges=[(0, 1), (0, 2), (1, 2)])
-        tracer = SamplingTracer(sample_every=1)
+        tracer = SearchTracer(keep_tree=False)
         matcher = DAFMatcher()
         prepared = matcher.prepare(query.freeze(), data.freeze())
         result = matcher.search(prepared, tracer=tracer)
         assert result.count == 2
-        assert tracer.nodes_seen > 0
+        assert sum(tracer.folded.values()) > 0
+        assert tracer.roots == []
 
 
 class TestParallelObserved:

@@ -1,6 +1,6 @@
-"""Request-scoped tracing + live telemetry (docs/observability.md).
+"""Request-scoped tracing (docs/observability.md).
 
-Four contracts under test:
+Three contracts under test:
 
 - **trace substrate** — deterministic ids (DET001: counter-derived, never
   wall-clock/random), structural span names, setdefault stamping so a
@@ -8,9 +8,6 @@ Four contracts under test:
 - **propagation** — one trace id survives the session -> batch -> worker
   pipe -> checkpoint -> resume pipeline, and untraced checkpoints keep
   the exact payload bytes of prior versions;
-- **aggregation** — the streaming windows/percentiles/rates fold events
-  deterministically, the SLO watchdog fires alerts, and the export
-  round-trips through ``validate_export``;
 - **zero interference** — tracing on vs. off changes no search result,
   and the JSONL stream stays line-atomic and schema-valid under
   fork-based parallel dispatch.
@@ -25,23 +22,16 @@ from repro import Budget, DAFMatcher
 from repro.extensions import ParallelDAFMatcher
 from repro.graph import Graph, ensure_connected, gnm_random_graph
 from repro.interfaces import MatchOptions, MatchRequest
-from repro.obs import JsonlSink, MetricsRegistry, TeeSink
+from repro.obs import JsonlSink, MetricsRegistry
 from repro.obs.schema import TRACE_FIELDS, validate_event, validate_jsonl
 from repro.obs.telemetry import (
-    SloRule,
-    SloWatchdog,
-    StreamingHistogram,
-    TelemetryAggregator,
     TraceContext,
     TraceIdAllocator,
     collect_traces,
-    default_slo_rules,
     read_events,
-    render_top,
     render_trace_list,
     render_trace_tree,
     resumed_context,
-    validate_export,
 )
 from repro.resilience import SearchCheckpoint
 from repro.resilience.faults import FaultSpec, inject
@@ -122,186 +112,6 @@ class TestTraceContext:
         assert resumed.parent_span_id == "s0"
 
 
-class TestStreamingHistogram:
-    def test_empty_is_none(self):
-        assert StreamingHistogram().percentile(95) is None
-
-    def test_single_value_every_percentile(self):
-        hist = StreamingHistogram()
-        hist.add(0.003)
-        for q in (50, 95, 99):
-            estimate = hist.percentile(q)
-            assert estimate is not None and estimate >= 0.003
-
-    def test_percentiles_are_monotone_and_bound_observed_values(self):
-        hist = StreamingHistogram()
-        rng = random.Random(7)
-        values = [rng.random() * 0.1 for _ in range(500)]
-        for value in values:
-            hist.add(value)
-        p50, p95, p99 = (hist.percentile(q) for q in (50, 95, 99))
-        assert p50 <= p95 <= p99
-        # Upper-edge estimates are conservative: never below the true rank
-        # value's bucket, never above the observed maximum.
-        assert p99 <= max(values)
-
-    def test_overflow_reports_observed_max(self):
-        hist = StreamingHistogram(bounds=(0.001, 0.01))
-        hist.add(123.0)
-        assert hist.percentile(99) == 123.0
-        assert hist.max_value == 123.0
-
-
-# ----------------------------------------------------------------------
-# SLO watchdog
-# ----------------------------------------------------------------------
-class TestWatchdog:
-    def test_op_is_validated(self):
-        with pytest.raises(ValueError):
-            SloRule("x", "p95_seconds", "==", 1.0)
-
-    def test_ceiling_and_floor_semantics(self):
-        ceiling = SloRule("lat", "p95_seconds", "<=", 0.1)
-        floor = SloRule("hits", "cache_hit_rate", ">=", 0.5)
-        assert ceiling.breached({"p95_seconds": 0.2})
-        assert not ceiling.breached({"p95_seconds": 0.1})
-        assert floor.breached({"cache_hit_rate": 0.4})
-        assert not floor.breached({"cache_hit_rate": 0.5})
-        # A window missing the metric never fires.
-        assert not ceiling.breached({})
-        assert not floor.breached({})
-
-    def test_default_rules_omit_unset_thresholds(self):
-        assert default_slo_rules() == []
-        rules = default_slo_rules(p95_seconds=0.1, crash_rate_ceiling=0.0)
-        assert [r.metric for r in rules] == ["p95_seconds", "crash_rate"]
-
-    def test_alerts_are_schemad_events_and_callbacks_fire(self):
-        watchdog = SloWatchdog(default_slo_rules(p95_seconds=0.001))
-        seen = []
-        watchdog.subscribe(seen.append)
-        fired = watchdog.evaluate({"index": 3, "p95_seconds": 0.5})
-        assert len(fired) == 1 and fired[0]["window"] == 3
-        assert seen == fired
-        assert watchdog.alerts == fired
-        assert validate_event(dict(fired[0], ts=0.0)) == []
-
-
-# ----------------------------------------------------------------------
-# Streaming aggregation
-# ----------------------------------------------------------------------
-def batch_request(index, *, status="ok", cache="miss", elapsed=0.001, embeddings=1):
-    return {
-        "event": "batch.request",
-        "index": index,
-        "tag": f"q{index}",
-        "status": status,
-        "cache": cache,
-        "elapsed_seconds": elapsed,
-        "recursive_calls": 10,
-        "embeddings": embeddings,
-    }
-
-
-class TestAggregator:
-    def test_windows_close_on_request_count(self):
-        agg = TelemetryAggregator(window_requests=2)
-        for index in range(5):
-            agg.emit(batch_request(index, cache="hit" if index % 2 else "miss"))
-        assert len(agg.windows) == 2  # fifth request still open
-        agg.flush()
-        assert len(agg.windows) == 3
-        assert [w["requests"] for w in agg.windows] == [2, 2, 1]
-        assert agg.windows[0]["cache_hit_rate"] == 0.5
-
-    def test_window_events_are_schema_valid_and_teed(self):
-        out = []
-        agg = TelemetryAggregator(window_requests=1, out=_ListSink(out))
-        agg.emit(batch_request(0))
-        assert [e["event"] for e in out] == ["telemetry.window"]
-        assert validate_event(dict(out[0], ts=0.0)) == []
-
-    def test_own_output_is_not_double_counted_on_replay(self):
-        # `repro top` feeds a recorded stream back through an aggregator;
-        # the stream contains the original run's telemetry.window events.
-        agg = TelemetryAggregator(window_requests=1)
-        agg.emit(batch_request(0))
-        replayed = TelemetryAggregator(window_requests=1)
-        for event in [batch_request(0)] + [dict(w, event="telemetry.window") for w in agg.windows]:
-            replayed.emit(event)
-        assert replayed.summary()["requests"] == 1
-
-    def test_worker_crashes_retries_and_resumes_roll_up(self):
-        agg = TelemetryAggregator(window_requests=1)
-        agg.emit({"event": "worker", "status": "crashed", "attempts": 3})
-        agg.emit({"event": "worker", "status": "ok", "attempts": 1})
-        agg.emit({"event": "checkpoint.resume", "depth": 1})
-        agg.emit(batch_request(0))
-        window = agg.windows[0]
-        assert window["worker_outcomes"] == 2
-        assert window["worker_crashes"] == 1
-        assert window["worker_retries"] == 2
-        assert window["crash_rate"] == 0.5
-        assert window["resumes"] == 1
-
-    def test_run_end_events_count_too(self):
-        agg = TelemetryAggregator(window_requests=1)
-        agg.emit({
-            "event": "run_end",
-            "solved": True,
-            "recursive_calls": 5,
-            "embeddings": 2,
-            "spans": {"search": 0.004},
-        })
-        window = agg.windows[0]
-        assert window["requests"] == 1 and window["errors"] == 0
-        assert window["p95_seconds"] > 0
-
-    def test_watchdog_alerts_fire_per_window(self):
-        agg = TelemetryAggregator(
-            window_requests=1,
-            watchdog=SloWatchdog(default_slo_rules(hit_rate_floor=0.9)),
-        )
-        agg.emit(batch_request(0, cache="miss"))
-        agg.emit(batch_request(1, cache="hit"))
-        assert [w["alerts"] for w in agg.windows] == [1, 0]
-        assert agg.summary()["alerts"] == 1
-
-    def test_history_bound_reports_dropped_windows(self):
-        agg = TelemetryAggregator(window_requests=1, history=2)
-        for index in range(5):
-            agg.emit(batch_request(index))
-        assert len(agg.windows) == 2
-        assert agg.export()["dropped_windows"] == 3
-        assert agg.summary()["windows"] == 5
-
-    def test_export_round_trips_through_validate_export(self, tmp_path):
-        agg = TelemetryAggregator(
-            window_requests=1,
-            watchdog=SloWatchdog(default_slo_rules(p95_seconds=1e-9)),
-        )
-        agg.emit(batch_request(0))
-        path = tmp_path / "telemetry.json"
-        agg.export_json(path)
-        assert validate_export(path) == []
-        document = json.loads(path.read_text())
-        assert document["schema"] == "repro.obs.telemetry"
-        assert document["totals"]["requests"] == 1
-        assert len(document["alerts"]) == 1
-
-    def test_validate_export_rejects_drifted_documents(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "schema": "repro.obs.telemetry",
-            "windows": [{"index": 0}],  # missing required 'requests'
-            "alerts": [],
-        }))
-        assert validate_export(path) != []
-
-
-# ----------------------------------------------------------------------
-# Propagation: session -> batch -> workers -> checkpoints
-# ----------------------------------------------------------------------
 class TestSessionTracing:
     def test_every_event_is_stamped_with_deterministic_ids(self, instance):
         query, data = instance
@@ -524,24 +334,6 @@ class TestJsonlUnderParallelDispatch:
         events = read_events(path)
         assert {e["trace_id"] for e in events if "trace_id" in e} == {"t000001"}
 
-    def test_aggregator_tee_keeps_the_stream_valid(self, instance, tmp_path):
-        query, data = instance
-        path = tmp_path / "teed.jsonl"
-        sink = JsonlSink(path)
-        aggregator = TelemetryAggregator(window_requests=1, out=sink)
-        observer = MetricsRegistry(sink=TeeSink(sink, aggregator))
-        session = DataGraphSession(data, observer=observer)
-        engine = BatchEngine(session)
-        list(engine.run_iter([MatchRequest(query, options=MatchOptions(limit=LIMIT))] * 2))
-        aggregator.close()
-        sink.close()
-        assert validate_jsonl(path) == []
-        kinds = {e["event"] for e in read_events(path)}
-        assert "telemetry.window" in kinds
-        assert "batch.request" in kinds
-        assert render_top(aggregator)  # renders without raising
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -551,12 +343,9 @@ class TestCli:
         query, data = instance
         path = tmp_path / "events.jsonl"
         sink = JsonlSink(path)
-        aggregator = TelemetryAggregator(window_requests=1, out=sink)
-        observer = MetricsRegistry(sink=TeeSink(sink, aggregator))
-        session = DataGraphSession(data, observer=observer)
+        session = DataGraphSession(data, observer=MetricsRegistry(sink=sink))
         engine = BatchEngine(session)
         list(engine.run_iter([MatchRequest(query, options=MatchOptions(limit=LIMIT))] * 2))
-        aggregator.close()
         sink.close()
         return path
 
@@ -575,14 +364,3 @@ class TestCli:
 
         assert main(["trace", "show", str(recorded), "--trace", "t999999"]) == 1
         capsys.readouterr()
-
-    def test_top_reports_windows_and_seeded_alert(self, recorded, capsys):
-        from repro.cli import main
-
-        assert main([
-            "top", str(recorded), "--window", "1", "--slo-p95", "0.0000001"
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "window" in out
-        assert "ALERT" in out
-        assert "p95" in out

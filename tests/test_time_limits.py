@@ -6,9 +6,13 @@ import time
 import pytest
 
 from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
-from repro.baselines import ALL_BASELINES
+from repro.baselines import ALL_BASELINES, CFLMatcher
+from repro.core.backtrack import _count_injective
+from repro.datasets import SPECS, generate
 from repro.extensions import BoostedDAFMatcher
 from repro.graph import ensure_connected, gnm_random_graph
+from repro.interfaces import Deadline, TimeoutSignal
+from repro.workloads import generate_query_set
 
 
 def hard_instance():
@@ -81,3 +85,30 @@ def test_timeout_result_contains_partial_progress(instance):
     assert result.stats.recursive_calls > 0
     assert result.count >= 0
     assert not result.solved
+
+
+def test_leaf_group_count_polls_the_deadline():
+    # Ten leaves sharing 40 candidates: far more injective assignments
+    # than one poll interval, so an already-expired deadline must stop it.
+    lists = [list(range(40))] * 10
+    with pytest.raises(TimeoutSignal):
+        _count_injective(lists, cap=10**12, injective=True, deadline=Deadline(0.0))
+
+
+def test_cfl_leaf_counting_respects_time_limit():
+    # A 200-vertex yeast query whose leaf groups hold hundreds of
+    # millions of injective assignments: CFL-Match reaches the leaf
+    # count within a few recursive calls and must stop there on time.
+    yeast = generate(SPECS["yeast"])
+    query = generate_query_set(yeast, 200, "sparse", 16, random.Random(7)).queries[0]
+    start = time.perf_counter()
+    result = CFLMatcher().match(
+        MatchRequest(
+            query,
+            yeast,
+            options=MatchOptions(limit=100_000, count_only=True, time_limit=1),
+        )
+    )
+    wall = time.perf_counter() - start
+    assert result.timed_out
+    assert wall < 1 + 0.5
