@@ -13,6 +13,7 @@ Run:  python examples/citation_patterns.py
 
 import random
 
+from repro import MatchOptions, MatchRequest
 from repro.directed import DirectedDAFMatcher, DirectedGraph
 
 
@@ -65,7 +66,8 @@ def main() -> None:
         "chain ml<-db<-theory": reversed_chain,
     }
     for name, pattern in patterns.items():
-        result = matcher.match(pattern, data, limit=5000, time_limit=10.0)
+        options = MatchOptions(limit=5000, time_limit=10.0)
+        result = matcher.match(MatchRequest(pattern, data, options=options))
         print(f"{name:30} {result.count:>6} matches "
               f"({result.stats.recursive_calls} calls, CS {result.stats.candidates_total})")
 

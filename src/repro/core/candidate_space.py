@@ -31,6 +31,13 @@ The same driver refreshes a cached CS after data-graph mutations: given
 the old CS and the batch's footprint it replays the recorded passes,
 re-testing only candidates the batch could have affected
 (:mod:`repro.core.cs_delta`).
+
+The directed and edge-labeled extensions build through
+:func:`build_edge_aware_candidate_space`: the same DP and edge
+materialization over an adjacency the caller supplies per query edge.
+It stays apart from :func:`build_candidate_space` so that the
+undirected refinement, the hot path of every sessionless request, pays
+no per-edge call.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..graph.digraph import ReversedDAG, RootedDAG
 from ..graph.graph import Graph
@@ -504,6 +511,74 @@ def build_candidate_space(
         down=down,
         refinement_steps=steps_done,
         trail=trail,
+    )
+
+
+def build_edge_aware_candidate_space(
+    query: Graph,
+    data,
+    dag: RootedDAG,
+    initial_sets: list[set[int]],
+    adjacent: Callable[[int, int, int], Iterable[int]],
+    refinement_steps: int = 3,
+    refine_to_fixpoint: bool = False,
+) -> CandidateSpace:
+    """BuildCS for graphs whose edges mean more than adjacency.
+
+    A directed query edge needs a data edge in its orientation; an
+    edge-labeled one needs a data edge carrying its label.
+    ``adjacent(u, u_c, v)`` yields the data vertices that may host
+    ``u_c`` next to ``v`` hosting ``u`` across the query edge between
+    them (``u_c`` is a child of ``u`` in whichever DAG direction the
+    pass runs).  The DP and the CS edge rows use it where
+    :func:`build_candidate_space` uses plain adjacency; ``initial_sets``
+    is C_ini with every local filter already folded in.  Passes follow
+    the same rule: ``refinement_steps``, or with ``refine_to_fixpoint``
+    up to :data:`MAX_FIXPOINT_STEPS`, stopping after a non-first pass
+    that changes nothing.  ``query`` is the undirected skeleton the DAG
+    orients; ``data`` is only stored on the CS.
+    """
+    cand = [set(s) for s in initial_sets]
+    directions: tuple[AnyDAG, AnyDAG] = (dag.reverse(), dag)
+    passes = MAX_FIXPOINT_STEPS if refine_to_fixpoint else refinement_steps
+    steps_done = 0
+    for step in range(passes):
+        direction = directions[step % 2]
+        changed = False
+        for u in reversed(direction.topological_order()):
+            children = direction.children(u)
+            if not children:
+                continue
+            survivors = {
+                v
+                for v in cand[u]
+                if all(not cand[u_c].isdisjoint(adjacent(u, u_c, v)) for u_c in children)
+            }
+            if len(survivors) != len(cand[u]):
+                changed = True
+                cand[u] = survivors
+        steps_done += 1
+        if refine_to_fixpoint and not changed and step > 0:
+            break
+
+    candidates = [sorted(c) for c in cand]
+    candidate_index = [{v: i for i, v in enumerate(c)} for c in candidates]
+    down: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in query.vertices()]
+    for u in query.vertices():
+        for u_c in dag.children(u):
+            child_index = candidate_index[u_c]
+            down[u][u_c] = [
+                tuple(child_index[w] for w in adjacent(u, u_c, v) if w in child_index)
+                for v in candidates[u]
+            ]
+    return CandidateSpace(
+        query=query,
+        data=data,
+        dag=dag,
+        candidates=candidates,
+        candidate_index=candidate_index,
+        down=down,
+        refinement_steps=steps_done,
     )
 
 

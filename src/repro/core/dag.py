@@ -14,22 +14,28 @@ Root selection and edge orientation both use *data-graph* statistics:
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional, Sequence
 
 from ..graph.digraph import RootedDAG
 from ..graph.graph import Graph
 from .filters import initial_candidate_count
 
 
-def select_root(query: Graph, data: Graph) -> int:
+def select_root(query: Graph, data: Graph, counts: Optional[Sequence[int]] = None) -> int:
     """The paper's root rule: argmin_u |C_ini(u)| / deg_q(u).
 
+    ``counts[u]`` replaces ``|C_ini(u)|`` for matchers whose C_ini is not
+    the label + degree filter (directed, edge-labeled, multi-label).
     Degree-0 queries (a single isolated vertex) fall back to candidate
     count alone.  Ties break on the smaller vertex id for determinism.
     """
     best_vertex = 0
     best_score = float("inf")
     for u in query.vertices():
-        count = initial_candidate_count(query, data, u)
+        if counts is None:
+            count = initial_candidate_count(query, data, u)
+        else:
+            count = counts[u]
         degree = query.degree(u)
         score = count / degree if degree > 0 else float(count)
         if score < best_score:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 import time
+from abc import abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -389,6 +390,51 @@ class DAFMatcher(Matcher):
             on_embedding=on_embedding,
             budget=budget,
             resume_from=resume_from,
+        )
+
+
+class ExtensionMatcher(Matcher):
+    """Base of the §2 extension matchers (directed, edge-labeled and
+    multi-label graphs).
+
+    A subclass builds its own C_ini and candidate space in
+    :meth:`prepare`, rooting the query DAG with
+    :func:`~repro.core.dag.select_root` over its own candidate counts
+    and orienting it with :func:`~repro.core.dag.build_dag`.  The search
+    is :meth:`DAFMatcher.search`, unchanged.  Induced matching is
+    rejected: its non-edge semantics are not defined for these graphs.
+    """
+
+    #: Suffix of :attr:`name` (after the variant name).
+    name_suffix = ""
+    #: The graphs named in the induced-mode error.
+    graph_kind = ""
+
+    def __init__(self, config: Optional[MatchConfig] = None) -> None:
+        self.config = config if config is not None else MatchConfig()
+        if self.config.induced:
+            raise ValueError(
+                f"induced matching is not supported for {self.graph_kind} graphs"
+            )
+        self.name = f"{self.config.variant_name}-{self.name_suffix}"
+
+    @abstractmethod
+    def prepare(self, query, data) -> PreparedQuery:
+        """BuildDAG + BuildCS for this matcher's graph kind."""
+
+    def _match_impl(
+        self,
+        query,
+        data,
+        limit: int = DEFAULT_LIMIT,
+        time_limit: Optional[float] = None,
+        on_embedding: Optional[Callable[[Embedding], None]] = None,
+    ) -> MatchResult:
+        return DAFMatcher(self.config, observer=self.observer).search(
+            self.prepare(query, data),
+            limit=limit,
+            time_limit=time_limit,
+            on_embedding=on_embedding,
         )
 
 

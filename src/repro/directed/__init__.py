@@ -4,7 +4,6 @@ from .digraph_data import DirectedGraph, DirectedGraphError
 from .matcher import (
     DirectedBruteForce,
     DirectedDAFMatcher,
-    build_directed_candidate_space,
     directed_initial_candidates,
     is_directed_embedding,
     passes_directed_nlf,
@@ -15,7 +14,6 @@ __all__ = [
     "DirectedDAFMatcher",
     "DirectedGraph",
     "DirectedGraphError",
-    "build_directed_candidate_space",
     "directed_initial_candidates",
     "is_directed_embedding",
     "passes_directed_nlf",

@@ -6,32 +6,36 @@ orientation.  The extension follows the paper's remark that the
 techniques carry over directly — and indeed only the candidate layer is
 direction-aware here:
 
-- **C_ini** filters on in- and out-degree separately;
-- the first DP pass applies a directed NLF (successor- and
-  predecessor-label multiset domination);
-- **DAG-graph DP** and the CS edge materialization check adjacency in the
-  direction(s) the query edge demands (antiparallel query pairs demand
-  both);
-- the query DAG is built on the *underlying undirected* query (a DAG
-  orientation is a processing order, orthogonal to edge semantics).
+- **C_ini** filters on in- and out-degree separately and, with local
+  filters on, on a directed NLF (successor- and predecessor-label
+  multiset domination); homomorphism mode (``injective=False``) keeps
+  the label test only;
+- the root is core :func:`~repro.core.dag.select_root` fed the
+  in/out-degree candidate counts, and the DAG is core
+  :func:`~repro.core.dag.build_dag` on the *underlying undirected*
+  query (a DAG orientation is a processing order, orthogonal to edge
+  semantics);
+- **DAG-graph DP** and the CS edge materialization run in
+  :func:`~repro.core.candidate_space.build_edge_aware_candidate_space`
+  with an adjacency that follows the direction(s) the query edge
+  demands (antiparallel query pairs demand both).
 
-Everything after the CS — DAG ordering, weight array, adaptive matching
-order, failing sets, leaf decomposition — is the unmodified undirected
-engine (:class:`repro.core.backtrack.BacktrackEngine`), which operates
-purely on the CS index lists.
+Everything after the CS — weight array, adaptive matching order,
+failing sets, leaf decomposition — is :meth:`DAFMatcher.search
+<repro.core.matcher.DAFMatcher.search>`, which operates purely on the
+CS index lists.  :class:`DirectedBruteForce` is the reference the tests
+check it against.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Optional
 
-from ..core.backtrack import BacktrackEngine
-from ..core.candidate_space import CandidateSpace
-from ..core.config import MatchConfig
-from ..core.dag import bfs_vertex_order
-from ..graph.digraph import RootedDAG
-from ..graph.graph import Graph
+from ..core.candidate_space import build_edge_aware_candidate_space
+from ..core.dag import build_dag, select_root
+from ..core.matcher import ExtensionMatcher, PreparedQuery
+from ..graph.properties import is_connected
 from ..interfaces import (
     DEFAULT_LIMIT,
     Deadline,
@@ -96,178 +100,69 @@ def _edge_direction(u: int, u_c: int, directions: dict[tuple[int, int], Directio
     return "fwd" if code == "bwd" else "bwd"
 
 
-def _supported(data: DirectedGraph, v: int, child_candidates: set[int], code: DirectionCode) -> bool:
-    """Does ``v`` have a child candidate in the required direction(s)?"""
-    if code == "fwd":
-        pool = data.out_set(v)
-        return not child_candidates.isdisjoint(pool)
-    if code == "bwd":
-        pool = data.in_set(v)
-        return not child_candidates.isdisjoint(pool)
-    out_pool = data.out_set(v)
-    in_pool = data.in_set(v)
-    return any(w in out_pool and w in in_pool for w in child_candidates)
-
-
-def _adjacent_candidates(
-    data: DirectedGraph, v: int, child_index: dict[int, int], code: DirectionCode
-) -> tuple[int, ...]:
-    """CS down-list entry: child-candidate indices adjacent to ``v`` in
-    the required direction(s)."""
-    if code == "fwd":
-        return tuple(child_index[w] for w in data.out_neighbors(v) if w in child_index)
-    if code == "bwd":
-        return tuple(child_index[w] for w in data.in_neighbors(v) if w in child_index)
-    in_pool = data.in_set(v)
-    return tuple(
-        child_index[w] for w in data.out_neighbors(v) if w in in_pool and w in child_index
-    )
-
-
-def build_directed_candidate_space(
-    query: DirectedGraph,
-    data: DirectedGraph,
-    refinement_steps: int = 3,
-    use_local_filters: bool = True,
-) -> tuple[CandidateSpace, RootedDAG]:
-    """BuildDAG + BuildCS for directed graphs.
-
-    Returns the CS (over the undirected skeleton of the query, with
-    direction-aware edges) and the rooted query DAG.
-    """
-    query_und, directions = query.to_undirected()
-    from ..graph.properties import is_connected
-
-    if query_und.num_vertices > 1 and not is_connected(query_und):
-        raise ValueError("query graph must be (weakly) connected")
-
-    candidate_sets = [directed_initial_candidates(query, data, u) for u in query.vertices()]
-
-    # Root rule: argmin |C_ini(u)| / und-degree(u).
-    def score(u: int) -> float:
-        degree = query_und.degree(u)
-        count = len(candidate_sets[u])
-        return count / degree if degree else float(count)
-
-    root = min(query_und.vertices(), key=lambda u: (score(u), u))
-    order = bfs_vertex_order(query_und, data, root)
-    rank = {u: i for i, u in enumerate(order)}
-    dag_edges = []
-    for u, w in query_und.edges():
-        dag_edges.append((u, w) if rank[u] < rank[w] else (w, u))
-    dag = RootedDAG(query_und, dag_edges, root)
-
-    # Alternating DAG-graph DP with direction-aware adjacency.
-    passes = [dag.reverse(), dag]
-    for step in range(refinement_steps):
-        direction = passes[step % 2]
-        for u in reversed(direction.topological_order()):
-            survivors: set[int] = set()
-            children = direction.children(u)
-            for v in candidate_sets[u]:
-                if step == 0 and use_local_filters and not passes_directed_nlf(query, data, u, v):
-                    continue
-                ok = True
-                for u_c in children:
-                    code = _edge_direction(u, u_c, directions)
-                    if not _supported(data, v, candidate_sets[u_c], code):
-                        ok = False
-                        break
-                if ok:
-                    survivors.add(v)
-            candidate_sets[u] = survivors
-
-    candidates = [sorted(c) for c in candidate_sets]
-    candidate_index = [{v: i for i, v in enumerate(c)} for c in candidates]
-    down: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in query.vertices()]
-    for u in query.vertices():
-        for u_c in dag.children(u):
-            code = _edge_direction(u, u_c, directions)
-            child_index = candidate_index[u_c]
-            down[u][u_c] = [
-                _adjacent_candidates(data, v, child_index, code) for v in candidates[u]
-            ]
-    cs = CandidateSpace(
-        query=query_und,
-        data=data,  # type: ignore[arg-type]  # engine only touches it in induced mode
-        dag=dag,
-        candidates=candidates,
-        candidate_index=candidate_index,
-        down=down,
-        refinement_steps=refinement_steps,
-    )
-    return cs, dag
-
-
-class DirectedDAFMatcher:
+class DirectedDAFMatcher(ExtensionMatcher):
     """DAF over directed graphs.
 
-    Same result/statistics contract as the undirected matchers; the
+    Same result/statistics contract as the undirected matchers, called
+    as ``match(MatchRequest(query, data, options=...))``; the
     ``induced`` config is rejected (its non-edge semantics are not
-    defined here) and ``injective=False`` directed homomorphisms are
-    supported like the undirected case.
+    defined here) and ``injective=False`` finds directed homomorphisms.
     """
 
-    def __init__(self, config: Optional[MatchConfig] = None) -> None:
-        self.config = config if config is not None else MatchConfig()
-        if self.config.induced:
-            raise ValueError("induced matching is not supported for directed graphs")
-        self.name = f"{self.config.variant_name}-directed"
+    name_suffix = "directed"
+    graph_kind = "directed"
 
-    def match(
-        self,
-        query: DirectedGraph,
-        data: DirectedGraph,
-        limit: int = DEFAULT_LIMIT,
-        time_limit: Optional[float] = None,
-        on_embedding: Optional[Callable[[Embedding], None]] = None,
-    ) -> MatchResult:
+    def prepare(self, query: DirectedGraph, data: DirectedGraph) -> PreparedQuery:
+        """BuildDAG + BuildCS over the query's undirected skeleton, with
+        direction-aware CS edges."""
         query._require_frozen()
         data._require_frozen()
         if query.num_vertices == 0:
             raise ValueError("query graph must have at least one vertex")
         start = time.perf_counter()
+        skeleton, directions = query.to_undirected()
+        if skeleton.num_vertices > 1 and not is_connected(skeleton):
+            raise ValueError("query graph must be (weakly) connected")
         if self.config.injective:
-            cs, _dag = build_directed_candidate_space(
-                query,
-                data,
-                refinement_steps=self.config.refinement_steps,
-                use_local_filters=self.config.use_local_filters,
-            )
+            initial = [directed_initial_candidates(query, data, u) for u in query.vertices()]
         else:
-            # Homomorphism mode: degree/NLF filters are unsound; label-only.
-            cs, _dag = build_directed_candidate_space(
-                query, data, refinement_steps=self.config.refinement_steps,
-                use_local_filters=False,
-            )
-        stats = SearchStats(
-            candidates_total=cs.size,
-            filter_iterations=cs.refinement_steps,
+            # Homomorphisms may fold query vertices onto one data vertex,
+            # so in/out-degree and NLF domination are unsound: label-only.
+            initial = [set(data.vertices_with_label(query.label(u))) for u in query.vertices()]
+        # The root rule counts C_ini before the directed NLF narrows it.
+        root = select_root(skeleton, data, [len(c) for c in initial])
+        if self.config.injective and self.config.use_local_filters:
+            initial = [
+                {v for v in candidates if passes_directed_nlf(query, data, u, v)}
+                for u, candidates in enumerate(initial)
+            ]
+        dag = build_dag(skeleton, data, root)
+
+        def adjacent(u: int, u_c: int, v: int):
+            code = _edge_direction(u, u_c, directions)
+            if code == "fwd":
+                return data.out_neighbors(v)
+            if code == "bwd":
+                return data.in_neighbors(v)
+            in_pool = data.in_set(v)
+            return [w for w in data.out_neighbors(v) if w in in_pool]
+
+        cs = build_edge_aware_candidate_space(
+            skeleton,
+            data,
+            dag,
+            initial,
+            adjacent,
+            refinement_steps=self.config.refinement_steps,
+            refine_to_fixpoint=self.config.refine_to_fixpoint,
+        )
+        return PreparedQuery(
+            query=skeleton,
+            data=data,
+            dag=dag,
+            cs=cs,
             preprocess_seconds=time.perf_counter() - start,
         )
-        result = MatchResult(stats=stats)
-        if cs.is_empty():
-            return result
-        engine = BacktrackEngine(
-            cs,
-            self.config,
-            limit=limit,
-            deadline=Deadline(time_limit),
-            stats=stats,
-            on_embedding=on_embedding,
-        )
-        search_start = time.perf_counter()
-        try:
-            engine.run()
-        except TimeoutSignal:
-            result.timed_out = True
-        stats.search_seconds = time.perf_counter() - search_start
-        result.embeddings = engine.embeddings
-        result.limit_reached = engine.limit_reached
-        return result
-
-    def count(self, query: DirectedGraph, data: DirectedGraph, **kwargs) -> int:
-        return self.match(query, data, **kwargs).count
 
 
 class DirectedBruteForce:

@@ -6,7 +6,6 @@ from .disconnected import BRIDGE_LABEL, DisconnectedDAFMatcher, bridge_graphs
 from .edgelabel import (
     EdgeLabeledDAFMatcher,
     EdgeLabeledGraph,
-    build_edge_labeled_candidate_space,
     edge_labeled_candidates,
     is_edge_labeled_embedding,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "EdgeLabeledGraph",
     "MultiLabelDAFMatcher",
     "bridge_graphs",
-    "build_edge_labeled_candidate_space",
     "edge_labeled_candidates",
     "is_edge_labeled_embedding",
     "is_multilabel_embedding",

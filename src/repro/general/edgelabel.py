@@ -3,9 +3,12 @@
 Property graphs label their relationships ("knows", "cites", bond
 types); an edge-labeled embedding additionally requires
 ``L_q(u, u') = L_G(M(u), M(u'))`` for every query edge.  As with the
-directed extension, only the candidate layer changes: the DAG-graph DP
-and CS edge materialization admit a data edge only when its label
-matches the query edge's, and the unmodified engine searches the result.
+directed extension, only the candidate layer changes: C_ini applies a
+(vertex label, edge label) NLF, and the shared edge-aware DP and CS
+edge materialization
+(:func:`~repro.core.candidate_space.build_edge_aware_candidate_space`)
+admit a data edge only when its label matches the query edge's.  Root
+selection, BuildDAG and the search are core DAF's.
 
 :class:`EdgeLabeledGraph` wraps an undirected structure plus an
 edge-label map; build one with ``add_edge(u, v, label)``.
@@ -15,23 +18,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Hashable, Iterable
-from typing import Callable, Optional
 
-from ..core.backtrack import BacktrackEngine
-from ..core.candidate_space import CandidateSpace
-from ..core.config import MatchConfig
-from ..core.dag import bfs_vertex_order
-from ..graph.digraph import RootedDAG
+from ..core.candidate_space import build_edge_aware_candidate_space
+from ..core.dag import build_dag, select_root
+from ..core.matcher import ExtensionMatcher, PreparedQuery
 from ..graph.graph import Graph
 from ..graph.properties import is_connected
-from ..interfaces import (
-    DEFAULT_LIMIT,
-    Deadline,
-    Embedding,
-    MatchResult,
-    SearchStats,
-    TimeoutSignal,
-)
+from ..interfaces import Embedding
 
 
 class EdgeLabeledGraph:
@@ -148,141 +141,51 @@ def edge_labeled_candidates(
     return survivors
 
 
-def build_edge_labeled_candidate_space(
-    query: EdgeLabeledGraph,
-    data: EdgeLabeledGraph,
-    refinement_steps: int = 3,
-    use_local_filters: bool = True,
-    injective: bool = True,
-) -> tuple[CandidateSpace, RootedDAG]:
-    """BuildDAG + BuildCS with edge-label-aware adjacency."""
-    skeleton_q, skeleton_d = query.skeleton, data.skeleton
-    if skeleton_q.num_vertices > 1 and not is_connected(skeleton_q):
-        raise ValueError("query graph must be connected")
-    if injective:
-        candidate_sets = [
-            edge_labeled_candidates(query, data, u, use_nlf=use_local_filters)
-            for u in skeleton_q.vertices()
-        ]
-    else:
-        candidate_sets = [
-            set(skeleton_d.vertices_with_label(skeleton_q.label(u)))
-            for u in skeleton_q.vertices()
-        ]
-
-    def score(u: int) -> float:
-        degree = skeleton_q.degree(u)
-        count = len(candidate_sets[u])
-        return count / degree if degree else float(count)
-
-    root = min(skeleton_q.vertices(), key=lambda u: (score(u), u))
-    order = bfs_vertex_order(skeleton_q, skeleton_d, root)
-    rank = {u: i for i, u in enumerate(order)}
-    dag = RootedDAG(
-        skeleton_q,
-        [(u, w) if rank[u] < rank[w] else (w, u) for u, w in skeleton_q.edges()],
-        root,
-    )
-
-    def compatible_neighbors(v: int, u: int, u_c: int) -> list[int]:
-        """Data neighbors of ``v`` reachable over the right edge label."""
-        wanted = query.edge_label(u, u_c)
-        return [w for w in skeleton_d.neighbors(v) if data.edge_label(v, w) == wanted]
-
-    passes = [dag.reverse(), dag]
-    for step in range(refinement_steps):
-        direction = passes[step % 2]
-        for u in reversed(direction.topological_order()):
-            children = direction.children(u)
-            if not children:
-                continue
-            survivors: set[int] = set()
-            for v in candidate_sets[u]:
-                if all(
-                    any(w in candidate_sets[u_c] for w in compatible_neighbors(v, u, u_c))
-                    for u_c in children
-                ):
-                    survivors.add(v)
-            candidate_sets[u] = survivors
-
-    candidates = [sorted(c) for c in candidate_sets]
-    candidate_index = [{v: i for i, v in enumerate(c)} for c in candidates]
-    down: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in skeleton_q.vertices()]
-    for u in skeleton_q.vertices():
-        for u_c in dag.children(u):
-            child_index = candidate_index[u_c]
-            down[u][u_c] = [
-                tuple(
-                    child_index[w]
-                    for w in compatible_neighbors(v, u, u_c)
-                    if w in child_index
-                )
-                for v in candidates[u]
-            ]
-    cs = CandidateSpace(
-        query=skeleton_q,
-        data=skeleton_d,
-        dag=dag,
-        candidates=candidates,
-        candidate_index=candidate_index,
-        down=down,
-        refinement_steps=refinement_steps,
-    )
-    return cs, dag
-
-
-class EdgeLabeledDAFMatcher:
+class EdgeLabeledDAFMatcher(ExtensionMatcher):
     """DAF over edge-labeled graphs (same contract as DAFMatcher)."""
 
-    def __init__(self, config: Optional[MatchConfig] = None) -> None:
-        self.config = config if config is not None else MatchConfig()
-        if self.config.induced:
-            raise ValueError("induced matching is not supported for edge-labeled graphs")
-        self.name = f"{self.config.variant_name}-edgelabeled"
+    name_suffix = "edgelabeled"
+    graph_kind = "edge-labeled"
 
-    def match(
-        self,
-        query: EdgeLabeledGraph,
-        data: EdgeLabeledGraph,
-        limit: int = DEFAULT_LIMIT,
-        time_limit: Optional[float] = None,
-        on_embedding: Optional[Callable[[Embedding], None]] = None,
-    ) -> MatchResult:
+    def prepare(self, query: EdgeLabeledGraph, data: EdgeLabeledGraph) -> PreparedQuery:
+        """BuildDAG + BuildCS with edge-label-aware adjacency."""
         if query.num_vertices == 0:
             raise ValueError("query graph must have at least one vertex")
         start = time.perf_counter()
-        cs, _dag = build_edge_labeled_candidate_space(
-            query,
-            data,
+        skeleton_q, skeleton_d = query.skeleton, data.skeleton
+        if skeleton_q.num_vertices > 1 and not is_connected(skeleton_q):
+            raise ValueError("query graph must be connected")
+        if self.config.injective:
+            initial = [
+                edge_labeled_candidates(query, data, u, use_nlf=self.config.use_local_filters)
+                for u in skeleton_q.vertices()
+            ]
+        else:
+            initial = [
+                set(skeleton_d.vertices_with_label(skeleton_q.label(u)))
+                for u in skeleton_q.vertices()
+            ]
+        root = select_root(skeleton_q, skeleton_d, [len(c) for c in initial])
+        dag = build_dag(skeleton_q, skeleton_d, root)
+
+        def adjacent(u: int, u_c: int, v: int) -> list[int]:
+            """Data neighbours of ``v`` over the query edge's label."""
+            wanted = query.edge_label(u, u_c)
+            return [w for w in skeleton_d.neighbors(v) if data.edge_label(v, w) == wanted]
+
+        cs = build_edge_aware_candidate_space(
+            skeleton_q,
+            skeleton_d,
+            dag,
+            initial,
+            adjacent,
             refinement_steps=self.config.refinement_steps,
-            use_local_filters=self.config.use_local_filters,
-            injective=self.config.injective,
+            refine_to_fixpoint=self.config.refine_to_fixpoint,
         )
-        stats = SearchStats(
-            candidates_total=cs.size,
-            filter_iterations=cs.refinement_steps,
+        return PreparedQuery(
+            query=skeleton_q,
+            data=skeleton_d,
+            dag=dag,
+            cs=cs,
             preprocess_seconds=time.perf_counter() - start,
         )
-        result = MatchResult(stats=stats)
-        if cs.is_empty():
-            return result
-        engine = BacktrackEngine(
-            cs,
-            self.config,
-            limit=limit,
-            deadline=Deadline(time_limit),
-            stats=stats,
-            on_embedding=on_embedding,
-        )
-        search_start = time.perf_counter()
-        try:
-            engine.run()
-        except TimeoutSignal:
-            result.timed_out = True
-        stats.search_seconds = time.perf_counter() - search_start
-        result.embeddings = engine.embeddings
-        result.limit_reached = engine.limit_reached
-        return result
-
-    def count(self, query: EdgeLabeledGraph, data: EdgeLabeledGraph, **kwargs) -> int:
-        return self.match(query, data, **kwargs).count

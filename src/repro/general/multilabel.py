@@ -14,8 +14,11 @@ builds them).  Only the candidate layer changes:
 - the NLF generalizes per label: for every label ``l``, ``v`` needs at
   least as many neighbors carrying ``l`` as ``u`` has neighbors requiring
   ``l``;
-- DAG-graph DP and the engine run unchanged via the
-  ``initial_sets`` hook of :func:`~repro.core.candidate_space.build_candidate_space`.
+- root selection, BuildDAG, DAG-graph DP and the search run unchanged:
+  core :func:`~repro.core.dag.select_root` takes these candidate
+  counts, and the candidates enter
+  :func:`~repro.core.candidate_space.build_candidate_space` through its
+  ``initial_sets`` hook.
 
 Leaf decomposition is disabled: its combinatorics assume same-label
 leaves share candidates and different-label leaves never collide, which
@@ -28,23 +31,15 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections.abc import Iterable
-from typing import Callable, Optional
+from typing import Optional
 
-from ..core.backtrack import BacktrackEngine
 from ..core.candidate_space import build_candidate_space
 from ..core.config import MatchConfig
-from ..core.dag import bfs_vertex_order
-from ..graph.digraph import RootedDAG
+from ..core.dag import build_dag, select_root
+from ..core.matcher import ExtensionMatcher, PreparedQuery
 from ..graph.graph import Graph
 from ..graph.properties import is_connected
-from ..interfaces import (
-    DEFAULT_LIMIT,
-    Deadline,
-    Embedding,
-    MatchResult,
-    SearchStats,
-    TimeoutSignal,
-)
+from ..interfaces import Embedding, validate_inputs
 
 
 def multilabel_graph(labels: Iterable[Iterable[object]], edges) -> Graph:
@@ -113,40 +108,31 @@ def is_multilabel_embedding(mapping: Embedding, query: Graph, data: Graph) -> bo
     return all(data.has_edge(mapping[u], mapping[w]) for u, w in query.edges())
 
 
-class MultiLabelDAFMatcher:
+class MultiLabelDAFMatcher(ExtensionMatcher):
     """DAF under subset-label semantics.
 
     Queries and data are :func:`multilabel_graph` objects; everything
     else matches the :class:`~repro.core.matcher.DAFMatcher` contract.
     """
 
-    def __init__(self, config: Optional[MatchConfig] = None) -> None:
-        base = config if config is not None else MatchConfig()
-        if base.induced:
-            raise ValueError("induced matching is not supported for multi-label graphs")
-        # Leaf combinatorics assume exact-label candidate disjointness.
-        self.config = dataclasses.replace(base, leaf_decomposition=False)
-        self.name = f"{self.config.variant_name}-multilabel"
+    name_suffix = "multilabel"
+    graph_kind = "multi-label"
 
-    def match(
-        self,
-        query: Graph,
-        data: Graph,
-        limit: int = DEFAULT_LIMIT,
-        time_limit: Optional[float] = None,
-        on_embedding: Optional[Callable[[Embedding], None]] = None,
-    ) -> MatchResult:
-        query._require_frozen()
-        data._require_frozen()
-        if query.num_vertices == 0:
-            raise ValueError("query graph must have at least one vertex")
+    def __init__(self, config: Optional[MatchConfig] = None) -> None:
+        super().__init__(config)
+        # Leaf combinatorics assume exact-label candidate disjointness.
+        self.config = dataclasses.replace(self.config, leaf_decomposition=False)
+
+    def prepare(self, query: Graph, data: Graph) -> PreparedQuery:
+        """C_ini by label containment, then core BuildDAG + BuildCS."""
+        validate_inputs(query, data)
         if query.num_vertices > 1 and not is_connected(query):
             raise ValueError("query graph must be connected (wrap with the "
                              "disconnected-query matcher otherwise)")
         start = time.perf_counter()
         index = label_index(data)
         if self.config.injective:
-            initial_sets = [
+            initial = [
                 {
                     v
                     for v in multilabel_candidates(query, data, u, index)
@@ -157,59 +143,26 @@ class MultiLabelDAFMatcher:
             ]
         else:
             # Homomorphisms: degree/NLF assume injectivity; label-only.
-            initial_sets = [
+            initial = [
                 multilabel_candidates(query, data, u, index, check_degree=False)
                 for u in query.vertices()
             ]
-
         # Root rule over the true candidate counts; the BFS order's label
         # frequency (exact-set frequency) is only a tie-break heuristic.
-        def score(u: int) -> float:
-            degree = query.degree(u)
-            count = len(initial_sets[u])
-            return count / degree if degree else float(count)
-
-        root = min(query.vertices(), key=lambda u: (score(u), u))
-        order = bfs_vertex_order(query, data, root)
-        rank = {u: i for i, u in enumerate(order)}
-        dag_edges = [
-            (u, w) if rank[u] < rank[w] else (w, u) for u, w in query.edges()
-        ]
-        dag = RootedDAG(query, dag_edges, root)
+        dag = build_dag(query, data, select_root(query, data, [len(c) for c in initial]))
         cs = build_candidate_space(
             query,
             data,
             dag,
             refinement_steps=self.config.refinement_steps,
             refine_to_fixpoint=self.config.refine_to_fixpoint,
-            use_local_filters=False,  # folded into initial_sets above
-            initial_sets=initial_sets,
+            use_local_filters=False,  # folded into C_ini above
+            initial_sets=initial,
         )
-        stats = SearchStats(
-            candidates_total=cs.size,
-            filter_iterations=cs.refinement_steps,
+        return PreparedQuery(
+            query=query,
+            data=data,
+            dag=dag,
+            cs=cs,
             preprocess_seconds=time.perf_counter() - start,
         )
-        result = MatchResult(stats=stats)
-        if cs.is_empty():
-            return result
-        engine = BacktrackEngine(
-            cs,
-            self.config,
-            limit=limit,
-            deadline=Deadline(time_limit),
-            stats=stats,
-            on_embedding=on_embedding,
-        )
-        search_start = time.perf_counter()
-        try:
-            engine.run()
-        except TimeoutSignal:
-            result.timed_out = True
-        stats.search_seconds = time.perf_counter() - search_start
-        result.embeddings = engine.embeddings
-        result.limit_reached = engine.limit_reached
-        return result
-
-    def count(self, query: Graph, data: Graph, **kwargs) -> int:
-        return self.match(query, data, **kwargs).count

@@ -32,6 +32,10 @@ from typing import Iterator, Optional
 #: globbed in addition.
 DOC_FILES = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
 
+#: Trees outside ``src/repro`` whose suppression comments are checked
+#: too: no checker parses them, but a stale id there is as dead.
+SUPPRESSION_TREES = ("examples", "benchmarks")
+
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
 
 
@@ -142,12 +146,17 @@ class LintContext:
 
     def suppression_ids(self) -> Iterator[tuple[str, int, str]]:
         """``(relpath, line, id)`` for every id a ``# lint: ignore[...]``
-        comment names (comments only: docstrings that show the syntax do
-        not count)."""
-        for module in self.modules():
-            if not any("lint:" in line for line in module.lines):
+        comment names in ``src/repro`` or :data:`SUPPRESSION_TREES`
+        (comments only: docstrings that show the syntax do not count)."""
+        sources = [(module.relpath, module.lines) for module in self.modules()]
+        for tree in SUPPRESSION_TREES:
+            for path in sorted((self.root / tree).rglob("*.py")):
+                lines = path.read_text(encoding="utf-8").splitlines()
+                sources.append((path.relative_to(self.root).as_posix(), lines))
+        for relpath, lines in sources:
+            if not any("lint:" in line for line in lines):
                 continue
-            source = io.StringIO("\n".join(module.lines) + "\n")
+            source = io.StringIO("\n".join(lines) + "\n")
             for token in tokenize.generate_tokens(source.readline):
                 if token.type != tokenize.COMMENT:
                     continue
@@ -156,7 +165,7 @@ class LintContext:
                     continue
                 for part in match.group(1).split(","):
                     if part.strip():
-                        yield module.relpath, token.start[0], part.strip()
+                        yield relpath, token.start[0], part.strip()
 
     # -- documentation corpus -------------------------------------------
     def doc_corpus(self) -> list[tuple[str, str]]:

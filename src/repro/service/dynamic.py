@@ -21,25 +21,39 @@ graph mutates:
 The appearance search is exact, not heuristic: a new embedding that was
 not valid before the batch must use an inserted edge or vertex (or, in
 induced mode, lose a conflicting edge), so its image intersects the
-anchor set; enumerating all embeddings through each anchor and
-subtracting the previous set yields exactly the fresh-run difference.
-The equivalence suite and the ``dynamic smoke`` CI step assert this
-against full re-enumeration after every batch.
+anchor set.  It runs on DAF's own pipeline, scoped to the batch: for
+each query vertex whose C_ini holds an anchor, a query DAG rooted there
+and a CS whose root candidates are pinned to those anchors, searched by
+:meth:`~repro.core.matcher.DAFMatcher.search` under the session
+matcher's config.  The union of those searches minus the previous set
+is exactly the fresh-run difference.  A batch is atomic: every
+subscription's difference is computed before the graph, the cache or
+any subscription moves to the new version.  The equivalence suite and
+the ``dynamic smoke`` CI step assert the difference against full
+re-enumeration after every batch.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.candidate_space import initial_candidate_sets
+from ..core import dag as query_dag
+from ..core.candidate_space import (
+    build_candidate_space,
+    config_build_options,
+    initial_candidate_sets,
+)
+from ..core.config import MatchConfig
 from ..core.cs_delta import cs_diff, dag_equivalent, refresh_candidate_space
 from ..core.dag import build_dag
 from ..core.matcher import DAFMatcher, PreparedQuery
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex, refresh_index
 from ..graph.mutate import DeltaFootprint, apply_update
+from ..graph.properties import is_connected
 from ..interfaces import (
     MatchRequest,
     UnsupportedOptionError,
@@ -47,10 +61,11 @@ from ..interfaces import (
     UpdateError,
 )
 
-#: MatchOptions fields a standing query understands: per-batch governance
-#: only.  Everything else (limits, callbacks, count-only, resume,
+#: MatchOptions fields a standing query understands: a per-batch time
+#: limit only.  A ``budget`` is single-use and would lapse after one
+#: batch; everything else (limits, callbacks, count-only, resume,
 #: explain) contradicts the exact-difference streaming contract.
-SUBSCRIBE_SUPPORTED_OPTIONS = frozenset({"time_limit", "budget"})
+SUBSCRIBE_SUPPORTED_OPTIONS = frozenset({"time_limit"})
 
 
 class _StandingSurface:
@@ -89,7 +104,7 @@ class UpdateResult:
 # Exact embedding maintenance primitives
 # ----------------------------------------------------------------------
 def _still_embeds(
-    query: Graph, data: Graph, embedding: tuple[int, ...], injective: bool, induced: bool
+    query: Graph, data: Graph, embedding: tuple[int, ...], induced: bool
 ) -> bool:
     """Direct validity re-check of one mapping against the mutated graph.
 
@@ -113,87 +128,55 @@ def _still_embeds(
     return True
 
 
-def _search_order(query: Graph, start: int) -> list[int]:
-    """BFS order from ``start`` so every later vertex (in a connected
-    query) has an already-mapped neighbor to extend from."""
-    order = [start]
-    seen = {start}
-    head = 0
-    while head < len(order):
-        for w in query.neighbors(order[head]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-        head += 1
-    for u in query.vertices():  # disconnected queries: append the rest
-        if u not in seen:
-            order.append(u)
-    return order
-
-
-def _anchored_embeddings(
+def _embeddings_through(
     query: Graph,
     data: Graph,
-    cand_sets: list[set[int]],
-    anchor_u: int,
-    anchor_v: int,
-    injective: bool,
-    induced: bool,
-    out: set[tuple[int, ...]],
+    config: MatchConfig,
+    anchors: set[int],
     deadline: Optional[float],
-    budget,
-) -> None:
-    """All embeddings of ``query`` in ``data`` with ``anchor_u -> anchor_v``,
-    added to ``out``.  Plain candidate-pool backtracking ordered BFS-out
-    from the anchor, so the walk never leaves the anchor's neighborhood
-    in the query — the "delta-touched region" of the search space."""
-    if anchor_v not in cand_sets[anchor_u]:
-        return
-    n = query.num_vertices
-    order = _search_order(query, anchor_u)
-    mapping = [-1] * n
-    mapping[anchor_u] = anchor_v
-    used = {anchor_v}
+) -> set[tuple[int, ...]]:
+    """Every embedding of ``query`` in ``data`` whose image meets
+    ``anchors``, found by DAF's own pipeline.
 
-    def extend(position: int) -> None:
-        if deadline is not None and time.monotonic() > deadline:
+    For each query vertex ``u`` whose C_ini holds an anchor, the query
+    DAG is rooted at ``u`` and BuildCS starts from C_ini with ``C(u)``
+    pinned to those anchors, under the session config's build options;
+    :meth:`DAFMatcher.search` enumerates that CS.  The union over ``u``
+    is the answer.  Passing ``deadline`` (a ``time.monotonic()`` value)
+    raises :class:`UpdateError` instead of returning a partial set.
+    """
+    found: set[tuple[int, ...]] = set()
+    if not anchors:
+        return found
+    engine = DAFMatcher(config)
+    options = config_build_options(config, query, data)
+    initial = options.pop("initial_sets") or initial_candidate_sets(query, data)
+    for u in query.vertices():
+        pinned = initial[u] & anchors
+        if not pinned:
+            continue
+        remaining = None if deadline is None else deadline - time.monotonic()
+        if remaining is not None and remaining <= 0:
             raise UpdateError("standing-query delta search exceeded its time limit")
-        if budget is not None:
-            budget.poll()
-        if position == n:
-            emb = tuple(mapping)
-            if induced:
-                for u1 in range(n):
-                    for u2 in range(u1 + 1, n):
-                        if not query.has_edge(u1, u2) and data.has_edge(
-                            emb[u1], emb[u2]
-                        ):
-                            return
-            out.add(emb)
-            return
-        u = order[position]
-        mapped_neighbors = [w for w in query.neighbors(u) if mapping[w] != -1]
-        if mapped_neighbors:
-            first = mapped_neighbors[0]
-            pool = [v for v in data.neighbors(mapping[first]) if v in cand_sets[u]]
-            rest = mapped_neighbors[1:]
-        else:
-            pool = sorted(cand_sets[u])
-            rest = []
-        for v in pool:
-            if injective and v in used:
-                continue
-            if any(not data.has_edge(v, mapping[w]) for w in rest):
-                continue
-            mapping[u] = v
-            if injective:
-                used.add(v)
-            extend(position + 1)
-            mapping[u] = -1
-            if injective:
-                used.discard(v)
-
-    extend(1)
+        # Looked up on its module: this module's ``build_dag`` global is
+        # the cache-refresh orientation check.
+        dag = query_dag.build_dag(query, data, root=u)
+        cs = build_candidate_space(
+            query,
+            data,
+            dag,
+            initial_sets=[pinned if w == u else initial[w] for w in query.vertices()],
+            **options,
+        )
+        result = engine.search(
+            PreparedQuery(query=query, data=data, dag=dag, cs=cs, preprocess_seconds=0.0),
+            limit=sys.maxsize,
+            time_limit=remaining,
+        )
+        if result.timed_out:
+            raise UpdateError("standing-query delta search exceeded its time limit")
+        found.update(result.embeddings)
+    return found
 
 
 # ----------------------------------------------------------------------
@@ -215,15 +198,14 @@ class StandingQuery:
         session,
         subscription_id: str,
         request: MatchRequest,
-        injective: bool,
-        induced: bool,
+        config: MatchConfig,
         embeddings: set[tuple[int, ...]],
     ) -> None:
         self._session = session
         self.id = subscription_id
         self.request = request
-        self.injective = injective
-        self.induced = induced
+        #: The session matcher's config: the delta search runs DAF with it.
+        self.config = config
         self.active = True
         self._current = set(embeddings)
         self._pending: list[EmbeddingEvent] = []
@@ -246,56 +228,45 @@ class StandingQuery:
             self._session._subscriptions.pop(self.id, None)
 
     # -- called by apply_batch -----------------------------------------
-    def _on_batch(
-        self, data: Graph, footprint: DeltaFootprint, graph_version: int, observer
-    ) -> tuple[int, int]:
+    def _difference(
+        self, data: Graph, footprint: DeltaFootprint
+    ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """The embeddings the batch behind ``footprint`` made appear and
+        disappear on ``data``, both sorted.  Changes nothing, so a batch
+        computes every subscription's difference before it commits any."""
         query = self.request.query
-        options = self.request.options
-        deadline = (
-            time.monotonic() + options.time_limit
-            if options.time_limit is not None
-            else None
-        )
-        budget = options.budget
+        time_limit = self.request.options.time_limit
+        deadline = None if time_limit is None else time.monotonic() + time_limit
 
-        check = footprint.dirty
+        dirty = footprint.dirty
         disappeared = sorted(
             emb
             for emb in self._current
-            if any(v in check for v in emb)
-            and not _still_embeds(query, data, emb, self.injective, self.induced)
+            if any(v in dirty for v in emb)
+            and not _still_embeds(query, data, emb, self.config.induced)
         )
 
         anchors = {v for edge in footprint.inserted_edges for v in edge}
         anchors |= footprint.added
-        if self.induced:
+        if self.config.induced:
             anchors |= {v for edge in footprint.deleted_edges for v in edge}
-        found: set[tuple[int, ...]] = set()
-        if anchors:
-            cand_sets = initial_candidate_sets(query, data, self.injective)
-            for u in query.vertices():
-                for v in sorted(anchors & cand_sets[u]):
-                    _anchored_embeddings(
-                        query,
-                        data,
-                        cand_sets,
-                        u,
-                        v,
-                        self.injective,
-                        self.induced,
-                        found,
-                        deadline,
-                        budget,
-                    )
+        found = _embeddings_through(query, data, self.config, anchors, deadline)
         appeared = sorted(emb for emb in found if emb not in self._current)
+        return appeared, disappeared
 
+    def _commit(
+        self,
+        appeared: list[tuple[int, ...]],
+        disappeared: list[tuple[int, ...]],
+        graph_version: int,
+        observer,
+    ) -> None:
         self._current.difference_update(disappeared)
         self._current.update(appeared)
         for emb in disappeared:
             self._record("disappeared", emb, graph_version, observer)
         for emb in appeared:
             self._record("appeared", emb, graph_version, observer)
-        return len(appeared), len(disappeared)
 
     def _record(
         self, kind: str, embedding: tuple[int, ...], graph_version: int, observer
@@ -347,20 +318,23 @@ def subscribe(session, request: MatchRequest) -> StandingQuery:
         raise UnsupportedOptionError(_StandingSurface(), unsupported)
 
     config = getattr(session.matcher, "config", None)
-    injective = getattr(config, "injective", True)
-    induced = getattr(config, "induced", False)
-    if config is not None and not getattr(config, "collect_embeddings", True):
+    if not isinstance(config, MatchConfig):
+        config = MatchConfig()
+    if not config.collect_embeddings:
         raise ValueError(
             "standing queries maintain an explicit embedding set; the session "
             "matcher must collect embeddings"
         )
+    query = request.query
+    if query.num_vertices > 1 and not is_connected(query):
+        raise ValueError("a standing query must be a connected query graph")
 
     # Baseline embedding set: one full enumeration at the current version.
-    result = session.run(MatchRequest(query=request.query, options=request.options))
+    result = session.run(MatchRequest(query=query, options=request.options))
     if result.timed_out or getattr(result, "budget_breach", None):
         raise UpdateError(
             "standing-query baseline enumeration was cut short; "
-            "raise the subscription's time/budget options"
+            "raise the subscription's time_limit"
         )
     if len(result.embeddings) >= request.options.resolved_limit:
         raise UpdateError(
@@ -374,8 +348,7 @@ def subscribe(session, request: MatchRequest) -> StandingQuery:
         session,
         subscription_id,
         request,
-        injective,
-        induced,
+        config,
         set(result.embeddings),
     )
     session._subscriptions[subscription_id] = standing
@@ -449,6 +422,13 @@ def apply_batch(
             preprocess_seconds=prepared.preprocess_seconds,
         )
 
+    # Every subscription's difference is computed before anything is
+    # committed: one that fails (say, past its time limit) leaves the
+    # session, its cache and every subscription on the old version.
+    differences = [
+        (standing, standing._difference(new_data, footprint))
+        for standing in session._subscriptions.values()
+    ]
     refreshed, invalidated = session.cache.rebase(new_version, refresh)
 
     session.data = new_data
@@ -456,12 +436,10 @@ def apply_batch(
 
     appeared_total = 0
     disappeared_total = 0
-    for standing in list(session._subscriptions.values()):
-        appeared, disappeared = standing._on_batch(
-            new_data, footprint, new_version, session.observer
-        )
-        appeared_total += appeared
-        disappeared_total += disappeared
+    for standing, (appeared, disappeared) in differences:
+        standing._commit(appeared, disappeared, new_version, session.observer)
+        appeared_total += len(appeared)
+        disappeared_total += len(disappeared)
 
     seconds = time.perf_counter() - start
     if session.observer is not None:

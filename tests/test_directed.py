@@ -1,20 +1,35 @@
 """Tests for directed subgraph matching."""
 
+import itertools
 import random
 
 import pytest
 
-from repro import MatchConfig
+from repro import MatchConfig, MatchOptions, MatchRequest
+from repro.core.candidate_space import MAX_FIXPOINT_STEPS
 from repro.directed import (
     DirectedBruteForce,
     DirectedDAFMatcher,
     DirectedGraph,
     DirectedGraphError,
-    build_directed_candidate_space,
     directed_initial_candidates,
     is_directed_embedding,
     passes_directed_nlf,
 )
+
+
+def _request(query, data, **options) -> MatchRequest:
+    return MatchRequest(query, data, options=MatchOptions(**options))
+
+
+def homomorphism_oracle(query: DirectedGraph, data: DirectedGraph) -> list[tuple[int, ...]]:
+    """Every label- and directed-edge-preserving map, injective or not."""
+    pools = [data.vertices_with_label(query.label(u)) for u in query.vertices()]
+    return sorted(
+        mapping
+        for mapping in itertools.product(*pools)
+        if all(data.has_edge(mapping[u], mapping[w]) for u, w in query.edges())
+    )
 
 
 def random_digraph(rng: random.Random, n: int, m: int, labels: int) -> DirectedGraph:
@@ -162,7 +177,7 @@ class TestDirectedMatching:
         for _ in range(25):
             query, data = random_directed_case(rng)
             expected = sorted(DirectedBruteForce().match(query, data, limit=10**6).embeddings)
-            got = sorted(DirectedDAFMatcher().match(query, data, limit=10**6).embeddings)
+            got = sorted(DirectedDAFMatcher().match(_request(query, data, limit=10**6)).embeddings)
             assert got == expected
             assert expected, "planted sub-digraph must embed"
             for e in got[:5]:
@@ -177,7 +192,7 @@ class TestDirectedMatching:
                     for leaf in (True, False):
                         cfg = MatchConfig(order=order, use_failing_sets=fs, leaf_decomposition=leaf)
                         got = sorted(
-                            DirectedDAFMatcher(cfg).match(query, data, limit=10**6).embeddings
+                            DirectedDAFMatcher(cfg).match(_request(query, data, limit=10**6)).embeddings
                         )
                         if reference is None:
                             reference = got
@@ -189,25 +204,43 @@ class TestDirectedMatching:
 
         for _ in range(8):
             query, data = random_directed_case(rng)
-            full = DirectedDAFMatcher().match(query, data, limit=10**6).count
+            full = DirectedDAFMatcher().match(_request(query, data, limit=10**6)).count
             cfg = dataclasses.replace(MatchConfig(), collect_embeddings=False)
-            assert DirectedDAFMatcher(cfg).match(query, data, limit=10**6).count == full
+            assert DirectedDAFMatcher(cfg).match(_request(query, data, limit=10**6)).count == full
 
     def test_homomorphism_mode(self):
         # A -> B -> A chain can fold its endpoints onto one data A.
         query = DirectedGraph(labels=["A", "B", "A"], edges=[(0, 1), (1, 2)])
         data = DirectedGraph(labels=["A", "B"], edges=[(0, 1), (1, 0)])
-        injective = DirectedDAFMatcher().match(query, data)
-        folded = DirectedDAFMatcher(MatchConfig(injective=False)).match(query, data)
+        injective = DirectedDAFMatcher().match(_request(query, data))
+        folded = DirectedDAFMatcher(MatchConfig(injective=False)).match(_request(query, data))
         assert injective.count == 0
         assert folded.count == 1
+
+    def test_homomorphisms_skip_degree_domination(self):
+        # Two query B's fold onto the data's single B: the query A has
+        # out-degree 2 and the data A out-degree 1.
+        query = DirectedGraph(labels=["A", "B", "B"], edges=[(0, 1), (0, 2)])
+        data = DirectedGraph(labels=["A", "B"], edges=[(0, 1)])
+        folded = DirectedDAFMatcher(MatchConfig(injective=False)).match(_request(query, data))
+        assert folded.embeddings == [(0, 1, 1)]
+
+    def test_homomorphisms_agree_with_bruteforce_random(self, rng):
+        for _ in range(25):
+            query, data = random_directed_case(rng)
+            expected = homomorphism_oracle(query, data)
+            assert expected, "planted sub-digraph must embed"
+            for leaf in (True, False):
+                config = MatchConfig(injective=False, leaf_decomposition=leaf)
+                got = DirectedDAFMatcher(config).match(_request(query, data, limit=10**6))
+                assert sorted(got.embeddings) == expected
 
     def test_limit_and_flags(self):
         query = DirectedGraph(labels=["A", "B"], edges=[(0, 1)])
         data = DirectedGraph(
             labels=["A", "B", "B", "B"], edges=[(0, 1), (0, 2), (0, 3)]
         )
-        result = DirectedDAFMatcher().match(query, data, limit=2)
+        result = DirectedDAFMatcher().match(_request(query, data, limit=2))
         assert result.count == 2
         assert result.limit_reached
 
@@ -218,16 +251,47 @@ class TestDirectedMatching:
     def test_negative_query_empty_cs(self):
         query = DirectedGraph(labels=["A", "Z"], edges=[(0, 1)])
         data = DirectedGraph(labels=["A", "B"], edges=[(0, 1)])
-        result = DirectedDAFMatcher().match(query, data)
+        result = DirectedDAFMatcher().match(_request(query, data))
         assert result.count == 0
         assert result.stats.recursive_calls == 0
+
+
+class TestRefineToFixpoint:
+    def test_flag_stops_after_an_unchanged_pass(self):
+        query = DirectedGraph(labels=["A", "B"], edges=[(0, 1)])
+        data = DirectedGraph(labels=["A", "B"], edges=[(0, 1)])
+        plain = DirectedDAFMatcher().match(_request(query, data))
+        fixpoint = DirectedDAFMatcher(MatchConfig(refine_to_fixpoint=True)).match(
+            _request(query, data)
+        )
+        # Nothing to prune: the second pass changes nothing and ends it.
+        assert plain.stats.filter_iterations == 3
+        assert fixpoint.stats.filter_iterations == 2
+        assert fixpoint.embeddings == plain.embeddings == [(0, 1)]
+
+    def test_fixpoint_is_stable_and_keeps_every_embedding(self, rng):
+        for _ in range(15):
+            query, data = random_directed_case(rng)
+            plain = DirectedDAFMatcher().prepare(query, data).cs
+            config = MatchConfig(refine_to_fixpoint=True)
+            fixed = DirectedDAFMatcher(config).prepare(query, data).cs
+            longer = DirectedDAFMatcher(
+                MatchConfig(refinement_steps=fixed.refinement_steps + 2)
+            ).prepare(query, data).cs
+            assert 2 <= fixed.refinement_steps <= MAX_FIXPOINT_STEPS
+            assert fixed.candidates == longer.candidates
+            for u in query.vertices():
+                assert set(fixed.candidates[u]) <= set(plain.candidates[u])
+            expected = sorted(DirectedBruteForce().match(query, data, limit=10**6).embeddings)
+            got = DirectedDAFMatcher(config).match(_request(query, data, limit=10**6))
+            assert sorted(got.embeddings) == expected
 
 
 class TestDirectedCS:
     def test_cs_sound_for_directed_embeddings(self, rng):
         for _ in range(10):
             query, data = random_directed_case(rng)
-            cs, _ = build_directed_candidate_space(query, data)
+            cs = DirectedDAFMatcher().prepare(query, data).cs
             for e in DirectedBruteForce().match(query, data, limit=100).embeddings:
                 for u in query.vertices():
                     assert e[u] in cs.candidate_index[u]
@@ -237,7 +301,7 @@ class TestDirectedCS:
         query = DirectedGraph(labels=["A", "B"], edges=[(0, 1)])
         # Data: A0 -> B1 (good), B2 -> A0 (wrong direction for the query).
         data = DirectedGraph(labels=["A", "B", "B"], edges=[(0, 1), (2, 0)])
-        cs, dag = build_directed_candidate_space(query, data)
+        cs = DirectedDAFMatcher().prepare(query, data).cs
         # B2 must not be a candidate of the query B (in-degree mismatch
         # catches it at C_ini already: query B has in-degree 1, B2 has 0).
         assert 2 not in cs.candidate_index[1]
@@ -269,7 +333,8 @@ class TestLeafCountingOnFilteredRows:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_instance_has_adjacent_occupier_outside_row(self, reverse):
         query, data = _filtered_row_instance(reverse)
-        cs, dag = build_directed_candidate_space(query, data)
+        prepared = DirectedDAFMatcher().prepare(query, data)
+        cs, dag = prepared.cs, prepared.dag
         assert dag.parents(1) == (0,)
         leaf_index = cs.candidate_index[1]
         assert 2 in leaf_index  # b2 can host the leaf ...
@@ -284,9 +349,9 @@ class TestLeafCountingOnFilteredRows:
         assert expected == 2
         for fs in (True, False):
             collected = DirectedDAFMatcher(MatchConfig(use_failing_sets=fs)).match(
-                query, data, limit=10**6
+                _request(query, data, limit=10**6)
             )
             counted = DirectedDAFMatcher(
                 MatchConfig(use_failing_sets=fs, collect_embeddings=False)
-            ).match(query, data, limit=10**6)
+            ).match(_request(query, data, limit=10**6))
             assert collected.count == counted.count == expected

@@ -547,6 +547,67 @@ class TestSubscribe:
             MatchRequest(EDGE_QUERY, options=MatchOptions(time_limit=30.0))
         )
 
+    def test_budget_is_not_a_subscription_option(self):
+        # A Budget is spent by one search and would lapse after the first
+        # batch; per-batch governance is the time limit.
+        from repro.resilience.budget import Budget
+
+        session = simple_session()
+        with pytest.raises(UnsupportedOptionError) as excinfo:
+            session.subscribe(
+                MatchRequest(EDGE_QUERY, options=MatchOptions(budget=Budget(time_limit=5.0)))
+            )
+        assert "budget" in str(excinfo.value)
+
+    def test_disconnected_query_rejected(self):
+        session = simple_session(matcher=VF2Matcher())
+        with pytest.raises(ValueError, match="connected"):
+            session.subscribe(MatchRequest(Graph(labels=["A", "B"], edges=[])))
+
+    def test_overrun_subscription_leaves_the_batch_unapplied(self, monkeypatch):
+        """One subscription past its time limit fails the whole batch:
+        the session's graph, version and cache and every other
+        subscription stay on the old version, and a retry applies it."""
+        import time as real_time
+        from types import SimpleNamespace
+
+        session = simple_session()
+        session.run(MatchRequest(EDGE_QUERY))
+        ungoverned = session.subscribe(MatchRequest(EDGE_QUERY))
+        governed = session.subscribe(
+            MatchRequest(EDGE_QUERY, options=MatchOptions(time_limit=0.5))
+        )
+        old_data = session.data
+        # Every clock read inside the update path advances 1000 s, so the
+        # governed delta search is always past its limit.
+        ticks = iter(range(0, 10**9, 1000))
+        monkeypatch.setattr(
+            dynamic,
+            "time",
+            SimpleNamespace(
+                monotonic=lambda: float(next(ticks)),
+                perf_counter=real_time.perf_counter,
+            ),
+        )
+        batch = UpdateBatch((Delta.insert_edge(0, 2),))
+        with pytest.raises(UpdateError, match="time limit"):
+            session.apply(batch)
+        assert session.graph_version == 0
+        assert session.data is old_data
+        assert session.cache.graph_version == 0
+        for standing in (ungoverned, governed):
+            assert standing.embeddings == {(0, 1)}
+            assert standing.drain() == []
+
+        monkeypatch.undo()
+        session.apply(batch)
+        assert session.graph_version == 1
+        for standing in (ungoverned, governed):
+            assert standing.embeddings == {(0, 1), (0, 2)}
+            assert [(e.kind, e.embedding) for e in standing.drain()] == [
+                ("appeared", (0, 2))
+            ]
+
     def test_foreign_data_graph_rejected(self):
         session = simple_session()
         other = Graph(labels=["A", "B"], edges=[(0, 1)])
@@ -601,22 +662,28 @@ class TestEquivalence:
                         session.run(request, matcher=baseline)
                     ) == embedding_set(warm_result), baseline.name
 
-    def test_subscription_stream_replays_fresh_run_diff(self, rng):
+    @pytest.mark.parametrize(
+        "config",
+        [MatchConfig(), MatchConfig(induced=True), MatchConfig(injective=False)],
+        ids=["default", "induced", "homomorphism"],
+    )
+    def test_subscription_stream_replays_fresh_run_diff(self, rng, config):
         """The appeared/disappeared stream is exactly the difference of
-        consecutive fresh enumerations."""
+        consecutive fresh enumerations under the session's config."""
+
+        def fresh_run(data, query):
+            session = DataGraphSession(data, matcher=DAFMatcher(config))
+            return embedding_set(session.run(MatchRequest(query)))
+
         for case in range(6):
             query, data = random_graph_case(rng, max_vertices=14, max_query=5)
-            session = DataGraphSession(data)
+            session = DataGraphSession(data, matcher=DAFMatcher(config))
             standing = session.subscribe(MatchRequest(query))
             previous = set(standing.embeddings)
-            assert previous == embedding_set(
-                DataGraphSession(data).run(MatchRequest(query))
-            )
+            assert previous == fresh_run(data, query)
             for _ in range(4):
                 session.apply(random_batch(rng, session.data, rng.randint(1, 5)))
-                current = embedding_set(
-                    DataGraphSession(session.data).run(MatchRequest(query))
-                )
+                current = fresh_run(session.data, query)
                 events = standing.drain()
                 appeared = {e.embedding for e in events if e.kind == "appeared"}
                 disappeared = {

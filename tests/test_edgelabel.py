@@ -5,14 +5,18 @@ import random
 
 import pytest
 
-from repro import MatchConfig
+from repro import MatchConfig, MatchOptions, MatchRequest
+from repro.core.candidate_space import MAX_FIXPOINT_STEPS
 from repro.general import (
     EdgeLabeledDAFMatcher,
     EdgeLabeledGraph,
-    build_edge_labeled_candidate_space,
     edge_labeled_candidates,
     is_edge_labeled_embedding,
 )
+
+
+def _request(query, data, **options) -> MatchRequest:
+    return MatchRequest(query, data, options=MatchOptions(**options))
 
 
 def random_edge_labeled_case(rng: random.Random):
@@ -104,7 +108,7 @@ class TestMatching:
         )
         query = EdgeLabeledGraph.build(["X", "X", "X"], [(0, 1, "r"), (1, 2, "r")])
         # Center must be vertex 1; the two ends swap: 2 embeddings.
-        result = EdgeLabeledDAFMatcher().match(query, data)
+        result = EdgeLabeledDAFMatcher().match(_request(query, data))
         assert sorted(result.embeddings) == [(0, 1, 2), (2, 1, 0)]
 
     def test_agrees_with_oracle_random(self, rng):
@@ -112,7 +116,7 @@ class TestMatching:
             query, data = random_edge_labeled_case(rng)
             expected = oracle(query, data)
             got = sorted(
-                EdgeLabeledDAFMatcher().match(query, data, limit=10**6).embeddings
+                EdgeLabeledDAFMatcher().match(_request(query, data, limit=10**6)).embeddings
             )
             assert got == expected
             assert expected, "planted instance must embed"
@@ -129,7 +133,7 @@ class TestMatching:
                         )
                         got = sorted(
                             EdgeLabeledDAFMatcher(cfg)
-                            .match(query, data, limit=10**6)
+                            .match(_request(query, data, limit=10**6))
                             .embeddings
                         )
                         if reference is None:
@@ -142,17 +146,17 @@ class TestMatching:
 
         for _ in range(6):
             query, data = random_edge_labeled_case(rng)
-            full = EdgeLabeledDAFMatcher().match(query, data, limit=10**6).count
+            full = EdgeLabeledDAFMatcher().match(_request(query, data, limit=10**6)).count
             cfg = dataclasses.replace(MatchConfig(), collect_embeddings=False)
-            assert EdgeLabeledDAFMatcher(cfg).match(query, data, limit=10**6).count == full
+            assert EdgeLabeledDAFMatcher(cfg).match(_request(query, data, limit=10**6)).count == full
 
     def test_homomorphism_mode(self):
         query = EdgeLabeledGraph.build(
             ["A", "B", "A"], [(0, 1, "r"), (1, 2, "r")]
         )
         data = EdgeLabeledGraph.build(["A", "B"], [(0, 1, "r")])
-        injective = EdgeLabeledDAFMatcher().match(query, data)
-        folded = EdgeLabeledDAFMatcher(MatchConfig(injective=False)).match(query, data)
+        injective = EdgeLabeledDAFMatcher().match(_request(query, data))
+        folded = EdgeLabeledDAFMatcher(MatchConfig(injective=False)).match(_request(query, data))
         assert injective.count == 0
         assert folded.count == 1
 
@@ -163,9 +167,35 @@ class TestMatching:
     def test_negative_by_preprocessing(self):
         query = EdgeLabeledGraph.build(["A", "B"], [(0, 1, "ghost")])
         data = EdgeLabeledGraph.build(["A", "B"], [(0, 1, "r")])
-        result = EdgeLabeledDAFMatcher().match(query, data)
+        result = EdgeLabeledDAFMatcher().match(_request(query, data))
         assert result.count == 0
         assert result.stats.recursive_calls == 0
+
+
+class TestRefineToFixpoint:
+    def test_flag_stops_after_an_unchanged_pass(self):
+        query = EdgeLabeledGraph.build(["A", "B"], [(0, 1, "r")])
+        data = EdgeLabeledGraph.build(["A", "B"], [(0, 1, "r")])
+        plain = EdgeLabeledDAFMatcher().match(_request(query, data))
+        fixpoint = EdgeLabeledDAFMatcher(MatchConfig(refine_to_fixpoint=True)).match(
+            _request(query, data)
+        )
+        assert plain.stats.filter_iterations == 3
+        assert fixpoint.stats.filter_iterations == 2
+        assert fixpoint.embeddings == plain.embeddings == [(0, 1)]
+
+    def test_fixpoint_is_stable_and_keeps_every_embedding(self, rng):
+        for _ in range(10):
+            query, data = random_edge_labeled_case(rng)
+            config = MatchConfig(refine_to_fixpoint=True)
+            fixed = EdgeLabeledDAFMatcher(config).prepare(query, data).cs
+            longer = EdgeLabeledDAFMatcher(
+                MatchConfig(refinement_steps=fixed.refinement_steps + 2)
+            ).prepare(query, data).cs
+            assert 2 <= fixed.refinement_steps <= MAX_FIXPOINT_STEPS
+            assert fixed.candidates == longer.candidates
+            got = EdgeLabeledDAFMatcher(config).match(_request(query, data, limit=10**6))
+            assert sorted(got.embeddings) == oracle(query, data)
 
 
 class TestLeafCountingOnFilteredRows:
@@ -190,7 +220,8 @@ class TestLeafCountingOnFilteredRows:
     )
 
     def test_instance_has_adjacent_occupier_outside_row(self):
-        cs, dag = build_edge_labeled_candidate_space(self.QUERY, self.DATA)
+        prepared = EdgeLabeledDAFMatcher().prepare(self.QUERY, self.DATA)
+        cs, dag = prepared.cs, prepared.dag
         assert dag.parents(1) == (0,)
         leaf_index = cs.candidate_index[1]
         assert 2 in leaf_index  # b2 can host the leaf ...
@@ -203,9 +234,9 @@ class TestLeafCountingOnFilteredRows:
         assert expected == 2
         for fs in (True, False):
             collected = EdgeLabeledDAFMatcher(MatchConfig(use_failing_sets=fs)).match(
-                self.QUERY, self.DATA, limit=10**6
+                _request(self.QUERY, self.DATA, limit=10**6)
             )
             counted = EdgeLabeledDAFMatcher(
                 MatchConfig(use_failing_sets=fs, collect_embeddings=False)
-            ).match(self.QUERY, self.DATA, limit=10**6)
+            ).match(_request(self.QUERY, self.DATA, limit=10**6))
             assert collected.count == counted.count == expected

@@ -184,7 +184,7 @@ class TestMultiLabelMatcher:
             edges=[(0, 2), (1, 2)],
         )
         query = multilabel_graph([{"person"}, {"doc"}], edges=[(0, 1)])
-        result = MultiLabelDAFMatcher().match(query, data)
+        result = MultiLabelDAFMatcher().match(MatchRequest(query, data))
         assert sorted(result.embeddings) == [(0, 2), (1, 2)]
         # A more specific query only matches the admin.
         admin_query = multilabel_graph([{"person", "admin"}, {"doc"}], edges=[(0, 1)])
@@ -224,7 +224,11 @@ class TestMultiLabelMatcher:
             if query.num_vertices > 1 and not is_connected(query):
                 continue
             expected = multilabel_oracle(query, data)
-            got = sorted(MultiLabelDAFMatcher().match(query, data, limit=10**6).embeddings)
+            got = sorted(
+                MultiLabelDAFMatcher()
+                .match(MatchRequest(query, data, options=MatchOptions(limit=10**6)))
+                .embeddings
+            )
             assert got == expected
 
     def test_variants_agree(self, rng):
@@ -238,7 +242,7 @@ class TestMultiLabelMatcher:
             for fs in (True, False):
                 got = sorted(
                     MultiLabelDAFMatcher(MatchConfig(order=order, use_failing_sets=fs))
-                    .match(query, data, limit=10**6)
+                    .match(MatchRequest(query, data, options=MatchOptions(limit=10**6)))
                     .embeddings
                 )
                 if reference is None:
@@ -253,8 +257,8 @@ class TestMultiLabelMatcher:
         # data, so use a fold case: path A-B-A onto data A-B edge.
         data = multilabel_graph([{"A"}, {"B"}], edges=[(0, 1)])
         query = multilabel_graph([{"A"}, {"B"}, {"A"}], edges=[(0, 1), (1, 2)])
-        injective = MultiLabelDAFMatcher().match(query, data)
-        folded = MultiLabelDAFMatcher(MatchConfig(injective=False)).match(query, data)
+        injective = MultiLabelDAFMatcher().match(MatchRequest(query, data))
+        folded = MultiLabelDAFMatcher(MatchConfig(injective=False)).match(MatchRequest(query, data))
         assert injective.count == 0
         assert folded.count == 1
 
@@ -262,7 +266,7 @@ class TestMultiLabelMatcher:
         query = multilabel_graph([{"A"}, {"B"}], edges=[])
         data = multilabel_graph([{"A"}, {"B"}], edges=[(0, 1)])
         with pytest.raises(ValueError, match="disconnected-query"):
-            MultiLabelDAFMatcher().match(query, data)
+            MultiLabelDAFMatcher().match(MatchRequest(query, data))
 
     def test_induced_rejected(self):
         with pytest.raises(ValueError, match="induced"):

@@ -331,7 +331,9 @@ def test_directed_daf_equals_directed_bruteforce(instance):
 
     query, data = instance
     expected = sorted(DirectedBruteForce().match(query, data, limit=10**5).embeddings)
-    got = sorted(DirectedDAFMatcher().match(query, data, limit=10**5).embeddings)
+    got = sorted(DirectedDAFMatcher().match(
+        MatchRequest(query, data, options=MatchOptions(limit=10**5))
+    ).embeddings)
     assert got == expected
     assert expected, "planted directed instance must embed"
 

@@ -11,7 +11,6 @@ Three layers, mirroring docs/static-analysis.md:
 """
 
 import json
-import tokenize
 from pathlib import Path
 
 import pytest
@@ -29,7 +28,6 @@ from repro.lint import (
     render_text,
     run_lint,
 )
-from repro.lint.context import _SUPPRESS_RE
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 REPO_ROOT = Path(lint.__file__).resolve().parents[3]
@@ -200,11 +198,13 @@ class TestEngine:
     def test_unknown_suppression_id_is_reported_on_any_root(self):
         findings = run_lint(root=FIXTURES / "stale_suppression")
         assert [(f.path, f.line, f.check_id) for f in findings] == [
+            ("examples/demo.py", 5, "SUPPRESSION"),
             ("src/repro/core/legacy.py", 5, "SUPPRESSION"),
             ("src/repro/core/legacy.py", 9, "SUPPRESSION"),
         ]
-        assert "'IFC003'" in findings[0].message
-        assert "'NOPE99'" in findings[1].message
+        assert "'BUD001'" in findings[0].message
+        assert "'IFC003'" in findings[1].message
+        assert "'NOPE99'" in findings[2].message
         # The tree, not a checker, is at fault: any selection reports it.
         assert run_lint(root=FIXTURES / "stale_suppression", select=["CLI001"]) == findings
 
@@ -321,19 +321,11 @@ class TestWholeRepo:
         ignore[...]``, so a deleted or renamed checker would leave dead
         suppressions behind; every one in the swept trees must name a
         checker that exists."""
-        unknown = []
-        for directory in ("src", "examples", "benchmarks"):
-            for path in sorted((REPO_ROOT / directory).rglob("*.py")):
-                with tokenize.open(path) as handle:
-                    tokens = list(tokenize.generate_tokens(handle.readline))
-                for token in tokens:
-                    match = _SUPPRESS_RE.search(token.string)
-                    if token.type != tokenize.COMMENT or match is None or not match.group(1):
-                        continue
-                    for check_id in match.group(1).split(","):
-                        if check_id.strip() not in ALL_CHECKERS:
-                            where = f"{path.relative_to(REPO_ROOT)}:{token.start[0]}"
-                            unknown.append(f"{where}: {check_id.strip()}")
+        unknown = [
+            f"{relpath}:{line}: {check_id}"
+            for relpath, line, check_id in LintContext(REPO_ROOT).suppression_ids()
+            if check_id not in ALL_CHECKERS
+        ]
         assert unknown == []
 
     def test_committed_baseline_is_empty(self):
