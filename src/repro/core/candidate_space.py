@@ -77,10 +77,10 @@ class CandidateSpace:
         DP passes actually performed (for stats / Fig. 9-style analysis).
     trail:
         Optional refinement trail recorded when ``keep_trail=True``:
-        ``trail[0]`` is a per-query-vertex snapshot of the candidate sets
-        after C_ini (and before any DP pass), ``trail[k]`` the snapshot
-        after pass ``k``.  The incremental maintenance layer
-        (:mod:`repro.core.cs_delta`) replays this trail against a mutated
+        ``trail[k][u]`` is an unsorted ``array('i')`` of what DP pass
+        ``k + 1`` removed from ``C(u)``, so ``C(u)`` after pass ``k`` (0:
+        C_ini) is ``candidates[u]`` plus the removals in ``trail[k:]``.
+        :mod:`repro.core.cs_delta` replays these passes against a mutated
         data graph to refresh only delta-affected candidates while
         staying bit-identical to a cold rebuild.
 
@@ -95,7 +95,7 @@ class CandidateSpace:
     candidate_index: list[dict[int, int]]
     down: list[dict[int, list[tuple[int, ...]]]]
     refinement_steps: int
-    trail: Optional[list[list[set[int]]]] = None
+    trail: Optional[list[list[Sequence[int]]]] = None
     _weights: Optional[tuple[Sequence[int], ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -189,6 +189,8 @@ _UNION_STEPS_PER_TEST = 8
 #: Safety net on a ``refine_to_fixpoint`` run's pass count.
 MAX_FIXPOINT_STEPS = 64
 
+_NO_REMOVALS = array("i")  #: trail entry of a C(u) a pass left alone; never mutated
+
 
 def initial_candidate_sets(
     query: Graph, data: Graph, injective: bool = True, observer=None
@@ -246,7 +248,8 @@ def _refine_pass(
 
     Processes query vertices in reverse topological order of ``direction``
     so every child's refined set C'(u_c) is final before u is visited
-    (the bottom-up evaluation of Recurrence (1)).
+    (the bottom-up evaluation of Recurrence (1)).  A changed ``cand[u]``
+    is replaced, never mutated: the trail diffs it against the old set.
 
     The tested set is generated, not filtered: a survivor borders some
     candidate of every child, so it lies in ``N(C(u*))`` for the child
@@ -386,10 +389,10 @@ def build_candidate_space(
         refinement loop as the ``cs_refine`` span, and records the final
         per-vertex candidate histogram.
     keep_trail:
-        Record per-pass candidate-set snapshots on the returned CS (the
-        ``trail`` attribute) so the serving layer can refresh it
-        incrementally after data-graph mutations.  Costs one extra set
-        copy per pass; off by default.
+        Record what each pass removed on the returned CS (the ``trail``
+        attribute) so the serving layer can refresh it incrementally
+        after data-graph mutations.  Costs 4 bytes per removed candidate;
+        off by default.
     previous, footprint:
         Incremental refresh (:mod:`repro.core.cs_delta`): ``previous`` is
         a CS with a trail, built with the same parameters and DAG on the
@@ -397,7 +400,9 @@ def build_candidate_space(
         batch's :class:`repro.graph.mutate.DeltaFootprint`.  Every pass
         the old trail recorded is replayed over the footprint; later
         passes run cold, and CS edge rows whose source and child list
-        did not move are reused.  The result equals a cold build.
+        did not move are reused.  The result, trail included, equals a
+        cold build.  C_ini must depend only on each vertex's label and
+        degree (both :func:`config_build_options` rules do).
     """
     if dag.query is not query:
         raise ValueError("the DAG must orient exactly this query graph")
@@ -417,16 +422,13 @@ def build_candidate_space(
             budget.note_memory(sum(len(c) for c in cand) * CANDIDATE_BYTES)
             budget.poll()
 
-    trail: Optional[list[list[set[int]]]] = [] if keep_trail else None
-
-    def _snapshot() -> None:
-        if trail is not None:
-            trail.append([set(c) for c in cand])
-
+    trail: Optional[list[list[Sequence[int]]]] = [] if keep_trail else None
     if previous is not None:
         old_trail = previous.trail
         dirty = footprint.dirty
         local_dirty = footprint.local_dirty(data)
+        recorded = [set(c).union(*(t[u] for t in old_trail[1:]))  # after old pass 1
+                    for u, c in enumerate(previous.candidates)]
     directions: tuple[AnyDAG, AnyDAG] = (dag.reverse(), dag)
     steps_done = 0
     bound = False
@@ -436,13 +438,19 @@ def build_candidate_space(
         bound = True
     try:
         _checkpoint(0)
-        _snapshot()
         refine_start = time.perf_counter() if observer is not None else 0.0
         passes = MAX_FIXPOINT_STEPS if refine_to_fixpoint else refinement_steps
         for step in range(passes):
+            pass_input = cand[:]
             replay = None
-            if previous is not None and step + 1 < len(old_trail):
-                replay = (old_trail[step], old_trail[step + 1], dirty, local_dirty)
+            if previous is not None and step < len(old_trail):
+                # Outside ``dirty`` no label or degree moved, so the new
+                # C_ini stands in for the old one as pass 1's input.
+                recorded_in = recorded if step else pass_input
+                if step:
+                    recorded = [s.difference(r) if r else s
+                                for s, r in zip(recorded, old_trail[step])]
+                replay = (recorded_in, recorded, dirty, local_dirty)
             changed = _refine_pass(
                 query,
                 data,
@@ -454,7 +462,9 @@ def build_candidate_space(
             )
             steps_done += 1
             _checkpoint(steps_done)
-            _snapshot()
+            if trail is not None:
+                trail.append([_NO_REMOVALS if b is a else array("i", [*(b - a)])
+                              for b, a in zip(pass_input, cand)])
             if refine_to_fixpoint and not changed and step > 0:
                 break
     finally:

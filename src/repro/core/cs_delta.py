@@ -5,14 +5,14 @@ pair.  When the data graph mutates, rebuilding every cached CS from
 scratch costs a full BuildCS per entry; :func:`refresh_candidate_space`
 instead runs BuildCS in *replay* mode
 (``build_candidate_space(previous=..., footprint=...)``): the same pass
-loop, where each recorded pass of the old CS's trail
-(``CandidateSpace.trail``, recorded by ``keep_trail=True``) is re-run by
+loop, where each pass the old CS recorded (``CandidateSpace.trail``, kept
+by ``keep_trail=True`` as what each pass removed) is re-run by
 ``_refine_pass`` against the mutated graph, re-evaluating only the
 candidates the delta batch could have affected.
 
 The contract is strict **bit-identity**: the refreshed CS — candidate
-lists, index maps, materialized ``down`` adjacency, and the
-``refinement_steps`` count — equals what a cold
+lists, index maps, materialized ``down`` adjacency, ``refinement_steps``
+and the trail the next refresh replays — equals what a cold
 :func:`~repro.core.candidate_space.build_candidate_space` on the mutated
 graph would produce with the same parameters.  That holds because C_ini
 is recomputed cold, and each replayed pass re-evaluates a superset of
@@ -87,8 +87,8 @@ def cs_diff(a: CandidateSpace, b: CandidateSpace) -> list[str]:
     """Structural differences between two candidate spaces, as messages.
 
     Empty list means bit-identical candidates, index maps, materialized
-    adjacency, and refinement-step counts — the cross-validation check
-    behind the incremental-maintenance equivalence guarantee.
+    adjacency, refinement-step counts and (if both have one) trails — the
+    cross-validation check behind the incremental-maintenance guarantee.
     """
     problems: list[str] = []
     if a.query.num_vertices != b.query.num_vertices:
@@ -109,9 +109,9 @@ def cs_diff(a: CandidateSpace, b: CandidateSpace) -> list[str]:
             problems.append(f"candidate_index[{u}] differs")
         if a.down[u] != b.down[u]:
             problems.append(f"down[{u}] adjacency differs")
+    if a.trail is not None and b.trail is not None:  # in set order: compare sets
+        for k, (removed_a, removed_b) in enumerate(zip(a.trail, b.trail)):
+            for u, (ra, rb) in enumerate(zip(removed_a, removed_b)):
+                if set(ra) != set(rb):
+                    problems.append(f"trail[{k}][{u}] removals differ")
     return problems
-
-
-def cs_equal(a: CandidateSpace, b: CandidateSpace) -> bool:
-    """True iff :func:`cs_diff` finds nothing."""
-    return not cs_diff(a, b)

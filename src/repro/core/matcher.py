@@ -101,9 +101,9 @@ class DAFMatcher(Matcher):
     ) -> PreparedQuery:
         """Run BuildDAG + BuildCS (Algorithm 1 lines 1-2).
 
-        ``keep_trail=True`` asks BuildCS to record its per-pass
-        refinement snapshots (``cs.trail``) so the serving layer can
-        refresh the CS incrementally after data-graph mutations.
+        ``keep_trail=True`` asks BuildCS to record what each refinement
+        pass removed (``cs.trail``) so the serving layer can refresh the
+        CS incrementally after data-graph mutations.
 
         With a ``budget``, CS construction is governed too: an oversized
         or overlong build raises

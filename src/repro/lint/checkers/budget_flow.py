@@ -8,7 +8,8 @@ accounting advanced by a literal 1 (``recursive_calls += 1`` /
 ``embeddings_found += 1``; aggregation such as ``stats.recursive_calls
 += sub.recursive_calls`` is not matched).  This checker proves a
 zero-argument ``.tick()`` (``progress.tick(calls, depth)`` does not
-count) is *reachable on every path* through the search work of the
+count; ``tick()`` does after one ``tick = deadline.tick`` in the same
+function) is *reachable on every path* through the search work of the
 engine modules in :data:`_SCOPE`:
 
 - a loop that advances the cost accounting must tick on every
@@ -33,6 +34,7 @@ tick-free path as a line sequence so the hole is reproducible by eye.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from typing import Iterable, Optional
 
 from ..base import MapReduceChecker, register
@@ -51,14 +53,28 @@ _SCOPE = (
 )
 
 
-def _is_zero_arg_tick(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "tick"
-        and not node.args
-        and not node.keywords
+def _bound_ticks(func: ast.AST) -> frozenset:
+    """Local names ``func`` binds exactly once, by ``name = x.tick``."""
+    nodes = list(own_body_walk(func))
+    binds = Counter(n.arg for n in nodes if isinstance(n, ast.arg))
+    binds.update(
+        n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)
     )
+    return frozenset(
+        n.targets[0].id
+        for n in nodes
+        if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name)
+        and isinstance(n.value, ast.Attribute) and n.value.attr == "tick"
+        and binds[n.targets[0].id] == 1
+    )
+
+
+def _is_zero_arg_tick(node: ast.AST, bound: frozenset = frozenset()) -> bool:
+    if not isinstance(node, ast.Call) or node.args or node.keywords:
+        return False
+    if isinstance(node.func, ast.Name):
+        return node.func.id in bound
+    return isinstance(node.func, ast.Attribute) and node.func.attr == "tick"
 
 
 def _counts_cost(node: ast.AST, counters=("recursive_calls", "embeddings_found")) -> bool:
@@ -72,7 +88,8 @@ def _counts_cost(node: ast.AST, counters=("recursive_calls", "embeddings_found")
 
 
 def _has_budget_tick(func: ast.AST) -> bool:
-    return any(_is_zero_arg_tick(node) for node in own_body_walk(func))
+    bound = _bound_ticks(func)
+    return any(_is_zero_arg_tick(node, bound) for node in own_body_walk(func))
 
 
 def _increments_cost_counter(func: ast.AST) -> bool:
@@ -93,10 +110,11 @@ class _FunctionFacts:
         self.ticks: set[int] = set()
         self.costs: set[int] = set()
         self.recursive_calls: dict[int, int] = {}  # block -> call lineno
+        bound = _bound_ticks(cfg.func)
         for block in cfg.blocks:
             for element in block.elements:
                 for expr in element_guaranteed_exprs(element):
-                    if _is_zero_arg_tick(expr):
+                    if _is_zero_arg_tick(expr, bound):
                         self.ticks.add(block.index)
                     elif isinstance(expr, ast.Call) and info is not None and graph is not None:
                         callee = graph.resolve_call(info, expr)

@@ -159,12 +159,14 @@ def explain(query: Graph, data: Graph, config: MatchConfig | None = None) -> Que
         use_local_filters=cfg.use_local_filters,
         keep_trail=True,
     )
-    # Sizes after each of the first ``refinement_steps`` passes.  A
-    # fixpoint run that stopped earlier is padded with its last snapshot:
-    # a DP pass is idempotent at the fixpoint.
-    snapshots = cs.trail[1 : cfg.refinement_steps + 1]
-    snapshots += [snapshots[-1]] * (cfg.refinement_steps - len(snapshots))
-    per_step = [{u: len(s[u]) for u in query.vertices()} for s in snapshots]
+    # Sizes after each of the first ``refinement_steps`` passes (final size
+    # plus later removals), padded with the last: a pass is idempotent at the fixpoint.
+    steps = [[len(c) for c in cs.candidates]]
+    for removed in reversed(cs.trail[1:]):
+        steps.insert(0, [n + len(r) for n, r in zip(steps[0], removed)])
+    steps = steps[: cfg.refinement_steps]
+    steps += [steps[-1]] * (cfg.refinement_steps - len(steps))
+    per_step = [dict(enumerate(s)) for s in steps]
     weight_summary = {}
     if not cs.is_empty():
         for u in query.vertices():

@@ -222,8 +222,8 @@ class DataGraphSession:
         Runs one full enumeration as the baseline, then streams the exact
         embedding difference after every :meth:`apply` as
         ``embedding.appeared`` / ``embedding.disappeared`` events.  Only
-        ``time_limit`` and ``budget`` options are meaningful here; any
-        other non-default option raises
+        the ``time_limit`` option is accepted; any other non-default
+        option (``budget`` included: one search spends it) raises
         :class:`~repro.interfaces.UnsupportedOptionError`.  Returns the
         :class:`repro.service.StandingQuery`.
         """

@@ -34,3 +34,10 @@ class DemoMatcher(Matcher):
             stats.recursive_calls += 1
             deadline.tick()
             frontier.pop()
+
+    def _drain_hot(self, stats, deadline, frontier):
+        tick = deadline.tick  # one attribute lookup, then a poll per step
+        while frontier:
+            stats.recursive_calls += 1
+            tick()
+            frontier.pop()

@@ -9,8 +9,10 @@ import pytest
 from repro import DAFMatcher, MatchConfig, MatchOptions, MatchRequest
 from repro.baselines import BruteForceMatcher
 from repro.core import build_candidate_space, build_dag, has_weak_embedding
+from repro.core.candidate_space import config_build_options
 from repro.graph import Graph
 from repro.obs import MetricsRegistry
+from repro.obs.explain import explain
 from tests.conftest import make_cartesian_trap, random_graph_case
 
 
@@ -321,3 +323,75 @@ def test_golden_candidate_space(key):
 def test_golden_candidate_space_invariant(key):
     digest = _golden_cs_digest(GOLDEN_CS_CONFIGS[key], split_prunes=False)
     assert digest == GOLDEN_CS_INVARIANT[key]
+
+
+# ----------------------------------------------------------------------
+# Refinement trail: per-pass removals
+# ----------------------------------------------------------------------
+# ``trail[k][u]`` holds what pass k + 1 removed from C(u); the set after
+# pass k is the final C(u) plus every later removal.
+
+TRAIL_CONFIGS = {
+    "default": MatchConfig(),
+    "fixpoint": MatchConfig(refine_to_fixpoint=True),
+    "homomorphism": MatchConfig(injective=False),
+    "no-local-filters": MatchConfig(use_local_filters=False),
+    "one-step": MatchConfig(refinement_steps=1),
+    "homomorphism-fixpoint": MatchConfig(injective=False, refine_to_fixpoint=True),
+}
+
+
+def _trail_cases(config, count=12):
+    rng = random.Random(20190630)
+    for _ in range(count):
+        query, data = random_graph_case(rng, max_vertices=30, max_query=7)
+        dag = build_dag(query, data)
+        options = config_build_options(config, query, data)
+        cs = build_candidate_space(query, data, dag, **options, keep_trail=True)
+
+        def cold(steps):
+            fixed = dict(options, refinement_steps=steps, refine_to_fixpoint=False)
+            return build_candidate_space(query, data, dag, **fixed)
+
+        yield cs, cold
+
+
+def _pass_set(cs, k, u):
+    """C(u) after pass ``k`` of ``cs`` (``k = 0``: C_ini), from the trail."""
+    return set(cs.candidates[u]).union(*(removed[u] for removed in cs.trail[k:]))
+
+
+@pytest.mark.parametrize("key", list(TRAIL_CONFIGS))
+class TestRefinementTrail:
+    def test_pass_set_equals_cold_build_with_that_many_steps(self, key):
+        for cs, cold in _trail_cases(TRAIL_CONFIGS[key]):
+            assert len(cs.trail) == cs.refinement_steps
+            for k in range(min(3, cs.refinement_steps) + 1):
+                expected = cold(k).candidates
+                for u in cs.query.vertices():
+                    assert sorted(_pass_set(cs, k, u)) == expected[u], (k, u)
+
+    def test_trail_holds_exactly_the_removed_candidates(self, key):
+        for cs, cold in _trail_cases(TRAIL_CONFIGS[key]):
+            removed = [v for step in cs.trail for row in step for v in row]
+            assert len(removed) == cold(0).size - cs.size
+            # A C(u) a pass left alone shares one empty entry.
+            assert len({id(row) for step in cs.trail for row in step if not row}) <= 1
+            for step in cs.trail:
+                for u, row in enumerate(step):
+                    assert len(set(row)) == len(row)
+                    assert not set(row) & set(cs.candidates[u])
+
+
+def test_explain_sizes_per_step_are_pinned():
+    """A seeded case whose sizes move in every pass; under fixpoint the
+    run stops after pass 4 and the later steps repeat its sizes."""
+    query, data = random_graph_case(random.Random(5), max_vertices=30, max_query=7)
+    after = [
+        {0: 2, 1: 2, 2: 1, 3: 1, 4: 2},
+        {0: 1, 1: 2, 2: 1, 3: 1, 4: 2},
+        {0: 1, 1: 1, 2: 1, 3: 1, 4: 2},
+    ]
+    assert explain(query, data).candidate_sizes_per_step == after
+    plan = explain(query, data, MatchConfig(refine_to_fixpoint=True, refinement_steps=6))
+    assert plan.candidate_sizes_per_step == after + [after[-1]] * 3

@@ -30,6 +30,7 @@ from repro import (
     UnsupportedOptionError,
 )
 from repro.baselines import GraphQLMatcher, VF2Matcher
+from repro.core.candidate_space import build_candidate_space, config_build_options
 from repro.core.cs_delta import cs_diff, refresh_candidate_space
 from repro.graph import Graph, GraphIndex
 from repro.graph.mutate import TOMBSTONE_LABEL, apply_update
@@ -384,6 +385,27 @@ def test_replay_generates_pool_from_smallest_child(local_filter_calls):
     cold = matcher.prepare(query, new_data, keep_trail=True)
     assert cs_diff(refreshed, cold.cs) == []
     assert refreshed.candidates[0] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [MatchConfig(), MatchConfig(refine_to_fixpoint=True), MatchConfig(use_local_filters=False)],
+    ids=["default", "fixpoint", "no-local-filters"],
+)
+def test_refresh_equals_cold_build_over_seeded_corpus(config):
+    """Hundreds of small refreshes, each against a cold build on the same
+    DAG.  A replayed pass must re-test every candidate its recorded input
+    lacked (one an earlier pass now keeps), which a few cases rarely hit."""
+    rng = random.Random(2019)
+    matcher = DAFMatcher(config)
+    for _ in range(300):
+        query, data = random_graph_case(rng, max_vertices=20, max_query=6)
+        cs = matcher.prepare(query, data, keep_trail=True).cs
+        new_data, footprint = apply_update(data, random_batch(rng, data, rng.randint(1, 5)))
+        refreshed = refresh_candidate_space(cs, new_data, footprint, config)
+        options = config_build_options(config, query, new_data)
+        cold = build_candidate_space(query, new_data, cs.dag, **options, keep_trail=True)
+        assert cs_diff(refreshed, cold) == []
 
 
 # ----------------------------------------------------------------------

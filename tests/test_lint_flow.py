@@ -384,6 +384,20 @@ class TestMutationSmoke:
         assert [f.check_id for f in findings] == ["BUD002"]
         assert "_drain" in findings[0].message
 
+    def test_bound_tick_never_called_is_caught_by_bud002(self, tmp_path):
+        # ``tick = deadline.tick`` polls nothing by itself: the loop that
+        # only names the bound method, without calling it, is unmetered.
+        root = _mutate_tree(
+            tmp_path,
+            "src/repro/baselines/demo.py",
+            "            tick()\n",
+            "            tick\n",
+        )
+        findings = run_lint(root=root, select=["BUD002"])
+        assert [f.check_id for f in findings] == ["BUD002"]
+        assert "_drain_hot" in findings[0].message
+        assert "tick-free iteration path" in findings[0].message
+
     def test_untolled_step_helper_is_caught_by_bud002(self, tmp_path):
         # A loop-free step helper driven from elsewhere: no loop or
         # recursion path to check, but it counts a search step unmetered.
