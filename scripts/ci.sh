@@ -150,10 +150,12 @@ EOF
 "
 
 echo "==> dynamic smoke on yeast (cap: ${OBS_TIMEOUT}s)"
-# The same cross-validated update path at a realistic size: seeded
-# random edge insert/delete batches against the generated yeast graph,
-# with two standing queries.  After every batch the refreshed GraphIndex
-# and both cached candidate spaces must equal cold rebuilds.
+# The same cross-validated update path at a realistic size: twelve
+# seeded random edge insert/delete batches against the generated yeast
+# graph, with two standing queries.  Batch 5 also inserts a vertex wired
+# to three others and batch 9 deletes one.  After every batch the
+# refreshed GraphIndex and both cached candidate spaces must equal cold
+# rebuilds.
 timeout --kill-after=30 "$OBS_TIMEOUT" sh -ec "
     python - '$OBS_TMP' <<'EOF'
 import json, random, sys
@@ -163,15 +165,29 @@ tmp = Path(sys.argv[1])
 graph = read_cfl(tmp / 'yeast.graph')
 rng = random.Random(2019)
 present = set(graph.edges())
+live = list(graph.vertices())
 lines = []
-for _ in range(4):
+for position in range(12):
     batch, touched = [], set()
-    for u, v in rng.sample(sorted(present), 3):
+    if position == 4:
+        new = graph.num_vertices
+        batch.append({'op': 'insert-vertex', 'label': graph.label(rng.choice(live))})
+        for u in rng.sample(live, 3):
+            present.add((u, new))
+            touched.add((u, new))
+            batch.append({'op': 'insert-edge', 'u': u, 'v': new})
+        live.append(new)
+    if position == 8:
+        victim = rng.choice(live)
+        live.remove(victim)
+        present = {e for e in present if victim not in e}
+        batch.append({'op': 'delete-vertex', 'u': victim})
+    for u, v in rng.sample(sorted(present - touched), 3):
         present.discard((u, v))
         touched.add((u, v))
         batch.append({'op': 'delete-edge', 'u': u, 'v': v})
-    while len(batch) < 6:
-        u, v = sorted(rng.sample(range(graph.num_vertices), 2))
+    while sum(d['op'] == 'insert-edge' for d in batch) < 3:
+        u, v = sorted(rng.sample(live, 2))
         if (u, v) not in present and (u, v) not in touched:
             present.add((u, v))
             touched.add((u, v))
@@ -186,7 +202,7 @@ EOF
 import json, sys
 payload = json.load(open(sys.argv[1]))
 assert payload[\"cross_validated\"], payload
-assert payload[\"graph_version\"] == 4, payload
+assert payload[\"graph_version\"] == 12, payload
 assert len(payload[\"standing\"]) == 2, payload[\"standing\"]
 assert sum(b[\"cache_refreshed\"] for b in payload[\"batches\"]) > 0, payload
 EOF

@@ -27,10 +27,9 @@ Construction (``build_candidate_space``):
    ``N^u_{u_c}(v)`` storing candidate *indices*, which is what the
    backtracking engine intersects to compute extendable candidates.
 
-The same driver refreshes a cached CS after data-graph mutations: given
-the old CS and the batch's footprint it replays the recorded passes,
-re-testing only candidates the batch could have affected
-(:mod:`repro.core.cs_delta`).
+A CS built with ``keep_trail=True`` records what each pass removed;
+:mod:`repro.core.cs_delta` refreshes such a CS after data-graph
+mutations from that trail, in time proportional to the batch.
 
 The directed and edge-labeled extensions build through
 :func:`build_edge_aware_candidate_space`: the same DP and edge
@@ -80,12 +79,14 @@ class CandidateSpace:
         ``trail[k][u]`` is an unsorted ``array('i')`` of what DP pass
         ``k + 1`` removed from ``C(u)``, so ``C(u)`` after pass ``k`` (0:
         C_ini) is ``candidates[u]`` plus the removals in ``trail[k:]``.
-        :mod:`repro.core.cs_delta` replays these passes against a mutated
-        data graph to refresh only delta-affected candidates while
-        staying bit-identical to a cold rebuild.
+        :mod:`repro.core.cs_delta` reads a vertex's old pass outcomes
+        from ``candidate_index``, the pass-2+ removals and the C_ini
+        rule, and writes the trail a cold build would, sharing every
+        array a batch left alone.
 
     A CS is never mutated after construction (a refresh builds a new
-    one), which is what lets :attr:`weights` be computed once and kept.
+    one, sharing whatever lists, maps and rows the batch left alone),
+    which is what lets :attr:`weights` be computed once and kept.
     """
 
     query: Graph
@@ -218,20 +219,30 @@ def config_build_options(config, query: Graph, data: Graph) -> dict:
     """The :func:`build_candidate_space` refinement arguments a
     :class:`~repro.core.config.MatchConfig` implies.
 
-    This is the one home of the homomorphism rule: a non-injective
-    config starts from the label-only C_ini and never runs MND/NLF (both
-    assume injectivity).  The DP itself only checks existence and stays
-    sound for homomorphisms.
+    This and :func:`refine_options` hold the homomorphism rule: a
+    non-injective config starts from the label-only C_ini and never runs
+    MND/NLF (both assume injectivity).  The DP itself only checks
+    existence and stays sound for homomorphisms.
     """
     return {
-        "refinement_steps": config.refinement_steps,
-        "refine_to_fixpoint": config.refine_to_fixpoint,
-        "use_local_filters": config.use_local_filters and config.injective,
+        **refine_options(config),
         "initial_sets": (
             None
             if config.injective
             else initial_candidate_sets(query, data, injective=False)
         ),
+    }
+
+
+def refine_options(config) -> dict:
+    """The pass-loop half of :func:`config_build_options`: how many
+    passes run and whether the first applies MND/NLF.  A refresh
+    (:mod:`repro.core.cs_delta`) reads only this half, so it never
+    builds a C_ini."""
+    return {
+        "refinement_steps": config.refinement_steps,
+        "refine_to_fixpoint": config.refine_to_fixpoint,
+        "use_local_filters": config.use_local_filters and config.injective,
     }
 
 
@@ -242,7 +253,6 @@ def _refine_pass(
     cand: list[set[int]],
     apply_local_filters: bool = False,
     observer=None,
-    replay: Optional[tuple] = None,
 ) -> bool:
     """One DAG-graph DP pass in place; returns True if anything changed.
 
@@ -266,47 +276,22 @@ def _refine_pass(
     CS edge to some child's candidate set — Recurrence (1)), including
     the candidates outside ``N(C(u*))`` dropped before any test, count
     as ``prune_cs_edge``.
-
-    ``replay`` re-runs a recorded pass against a mutated data graph:
-    ``(recorded_in, recorded_out, dirty, local_dirty)`` holds this pass's
-    input and output sets on the old graph and the delta footprint's
-    dirty vertices (``local_dirty`` adds their neighbours, whose MND/NLF
-    signature may have moved).  A candidate that was in the recorded
-    input, is not stale, and borders no child candidate that flipped in
-    this pass sees exactly the recorded pass's neighbourhood and child
-    sets, so it copies its recorded outcome; only the rest, narrowed to
-    ``N(C(u*))`` by the same rule, are tested.
     """
     changed = False
-    if replay is not None:
-        recorded_in, recorded_out, dirty, local_dirty = replay
-        stale = local_dirty if apply_local_filters else dirty
-        flipped: dict[int, set[int]] = {}
     if apply_local_filters:
         index = data.index
     order = tuple(reversed(direction.topological_order()))
     for u in order:
         children = direction.children(u)
         if not children and not apply_local_filters:
-            if replay is not None:
-                flipped[u] = cand[u] ^ recorded_out[u]
             continue
         if apply_local_filters:
             # Hoist the query-side MND/NLF signatures out of the per-
             # candidate loop; the data side is a GraphIndex lookup.
             query_mnd = query.max_neighbor_degree(u)
             query_nlf = query.neighbor_label_counts(u)
-        if replay is None:
-            survivors: set[int] = set()
-            pool = cand[u]
-        else:
-            copied = cand[u] & recorded_in[u]
-            copied -= stale
-            for u_c in children:
-                for w in flipped[u_c]:
-                    copied.difference_update(data.neighbors(w))
-            survivors = copied & recorded_out[u]
-            pool = cand[u] - copied
+        survivors: set[int] = set()
+        pool = cand[u]
         if children:
             # Every survivor borders a candidate of each child, so only
             # N(C(u*)) for the smallest child set u* can survive.  Build
@@ -336,8 +321,6 @@ def _refine_pass(
                     break
             else:
                 survivors.add(v)
-        if replay is not None:
-            flipped[u] = survivors ^ recorded_out[u]
         if len(survivors) != len(cand[u]):
             changed = True
             cand[u] = survivors
@@ -355,8 +338,6 @@ def build_candidate_space(
     budget: Optional[Budget] = None,
     observer=None,
     keep_trail: bool = False,
-    previous: Optional[CandidateSpace] = None,
-    footprint=None,
 ) -> CandidateSpace:
     """BuildCS(q, q_D, G): construct the optimized CS (paper §4).
 
@@ -390,24 +371,14 @@ def build_candidate_space(
         per-vertex candidate histogram.
     keep_trail:
         Record what each pass removed on the returned CS (the ``trail``
-        attribute) so the serving layer can refresh it incrementally
-        after data-graph mutations.  Costs 4 bytes per removed candidate;
-        off by default.
-    previous, footprint:
-        Incremental refresh (:mod:`repro.core.cs_delta`): ``previous`` is
-        a CS with a trail, built with the same parameters and DAG on the
-        graph ``data`` was mutated from, and ``footprint`` is the
-        batch's :class:`repro.graph.mutate.DeltaFootprint`.  Every pass
-        the old trail recorded is replayed over the footprint; later
-        passes run cold, and CS edge rows whose source and child list
-        did not move are reused.  The result, trail included, equals a
-        cold build.  C_ini must depend only on each vertex's label and
-        degree (both :func:`config_build_options` rules do).
+        attribute) so that
+        :func:`repro.core.cs_delta.refresh_candidate_space` can refresh
+        it after data-graph mutations.  Costs 4 bytes per removed
+        candidate; off by default.  A refresh writes the trail this
+        build would have written, so a refreshed CS refreshes again.
     """
     if dag.query is not query:
         raise ValueError("the DAG must orient exactly this query graph")
-    if previous is not None and previous.trail is None:
-        raise ValueError("candidate space has no refinement trail (keep_trail=False)")
     if initial_sets is not None:
         if len(initial_sets) != query.num_vertices:
             raise ValueError("initial_sets needs one candidate set per query vertex")
@@ -423,12 +394,6 @@ def build_candidate_space(
             budget.poll()
 
     trail: Optional[list[list[Sequence[int]]]] = [] if keep_trail else None
-    if previous is not None:
-        old_trail = previous.trail
-        dirty = footprint.dirty
-        local_dirty = footprint.local_dirty(data)
-        recorded = [set(c).union(*(t[u] for t in old_trail[1:]))  # after old pass 1
-                    for u, c in enumerate(previous.candidates)]
     directions: tuple[AnyDAG, AnyDAG] = (dag.reverse(), dag)
     steps_done = 0
     bound = False
@@ -442,15 +407,6 @@ def build_candidate_space(
         passes = MAX_FIXPOINT_STEPS if refine_to_fixpoint else refinement_steps
         for step in range(passes):
             pass_input = cand[:]
-            replay = None
-            if previous is not None and step < len(old_trail):
-                # Outside ``dirty`` no label or degree moved, so the new
-                # C_ini stands in for the old one as pass 1's input.
-                recorded_in = recorded if step else pass_input
-                if step:
-                    recorded = [s.difference(r) if r else s
-                                for s, r in zip(recorded, old_trail[step])]
-                replay = (recorded_in, recorded, dirty, local_dirty)
             changed = _refine_pass(
                 query,
                 data,
@@ -458,7 +414,6 @@ def build_candidate_space(
                 cand,
                 apply_local_filters=(step == 0 and use_local_filters),
                 observer=observer,
-                replay=replay,
             )
             steps_done += 1
             _checkpoint(steps_done)
@@ -479,28 +434,17 @@ def build_candidate_space(
     # Materialize CS edges along the rooted-DAG direction.  Edges are
     # "immediate from E(q) and E(G) once candidate sets are decided" (§4):
     # (v, v_c) is a CS edge iff (u, u_c) in E(q_D) and (v, v_c) in E(G).
-    # A refresh reuses the old row of a clean source vertex whenever the
-    # child's candidate list, hence its index mapping, is unchanged.
     down: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in query.vertices()]
     candidate_footprint = sum(len(c) for c in candidates) * CANDIDATE_BYTES
     edges_materialized = 0
     for u in query.vertices():
         for u_c in dag.children(u):
             child_index = candidate_index[u_c]
-            old_rows = None
-            if previous is not None and candidates[u_c] == previous.candidates[u_c]:
-                old_rows = previous.down[u][u_c]
-                old_index = previous.candidate_index[u]
-            adjacency: list[tuple[int, ...]] = []
-            for v in candidates[u]:
-                if old_rows is not None and v not in dirty and v in old_index:
-                    row = old_rows[old_index[v]]
-                else:
-                    row = tuple(
-                        child_index[w] for w in data.neighbors(v) if w in child_index
-                    )
-                adjacency.append(row)
-                edges_materialized += len(row)
+            adjacency = [
+                tuple(child_index[w] for w in data.neighbors(v) if w in child_index)
+                for v in candidates[u]
+            ]
+            edges_materialized += sum(map(len, adjacency))
             down[u][u_c] = adjacency
         if budget is not None:
             # Catch a blowing-up CS per query vertex, before it finishes.

@@ -150,18 +150,36 @@ def refresh_index(
         else:
             index._buckets.pop(lab, None)
 
-    recompute = set(dirty)
-    for v in dirty:
-        recompute.update(new_graph.neighbors(v))
     nlf = list(old_index._nlf)
     max_nbr_deg = list(old_index._max_nbr_deg)
     grown = new_graph.num_vertices - len(nlf)
     if grown > 0:
         nlf.extend({} for _ in range(grown))
         max_nbr_deg.extend(0 for _ in range(grown))
-    for v in recompute:
+    for v in footprint.local_dirty(new_graph):
         nlf[v], max_nbr_deg[v] = new_graph._neighbor_stats(v)
     index._nlf = tuple(nlf)
     index._max_nbr_deg = tuple(max_nbr_deg)
     index.build_seconds = time.perf_counter() - start
     return index
+
+
+def changed_signatures(
+    old_index: GraphIndex, new_index: GraphIndex, new_graph: "Graph", footprint
+) -> frozenset[int]:
+    """The vertices whose NLF or MND entry differs between ``old_index``
+    and its :func:`refresh_index` successor ``new_index``.
+
+    Only the entries ``refresh_index`` recomputed can differ, so this
+    compares those alone: the footprint's dirty vertices and their
+    ``new_graph`` neighborhoods.  A vertex the batch created counts as
+    changed.
+    """
+    old_count = len(old_index._nlf)
+    old_nlf, old_mnd = old_index._nlf, old_index._max_nbr_deg
+    new_nlf, new_mnd = new_index._nlf, new_index._max_nbr_deg
+    return frozenset(
+        v
+        for v in footprint.local_dirty(new_graph)
+        if v >= old_count or old_mnd[v] != new_mnd[v] or old_nlf[v] != new_nlf[v]
+    )

@@ -51,7 +51,7 @@ from ..core.cs_delta import cs_diff, dag_equivalent, refresh_candidate_space
 from ..core.dag import build_dag
 from ..core.matcher import DAFMatcher, PreparedQuery
 from ..graph.graph import Graph
-from ..graph.index import GraphIndex, refresh_index
+from ..graph.index import GraphIndex, changed_signatures, refresh_index
 from ..graph.mutate import DeltaFootprint, apply_update
 from ..graph.properties import is_connected
 from ..interfaces import (
@@ -242,7 +242,7 @@ class StandingQuery:
         disappeared = sorted(
             emb
             for emb in self._current
-            if any(v in dirty for v in emb)
+            if not dirty.isdisjoint(emb)
             and not _still_embeds(query, data, emb, self.config.induced)
         )
 
@@ -394,6 +394,8 @@ def apply_batch(
     new_version = session._graph_version + 1
     matcher = session.matcher
     config = matcher.config if isinstance(matcher, DAFMatcher) else None
+    # The vertices whose MND/NLF entry moved, for every refresh to share.
+    moved = changed_signatures(old_data.index, new_data.index, new_data, footprint)
 
     def refresh(prepared):
         if config is None or prepared.cs.trail is None:
@@ -404,7 +406,7 @@ def apply_batch(
             # trail replay against a different orientation is meaningless.
             return None
         new_cs = refresh_candidate_space(
-            prepared.cs, new_data, footprint, config, observer=session.observer
+            prepared.cs, new_data, footprint, config, observer=session.observer, moved=moved
         )
         if cross_validate:
             cold = matcher.prepare(prepared.query, new_data, keep_trail=True)

@@ -30,9 +30,17 @@ from repro import (
     UnsupportedOptionError,
 )
 from repro.baselines import GraphQLMatcher, VF2Matcher
+from repro.core import candidate_space
 from repro.core.candidate_space import build_candidate_space, config_build_options
 from repro.core.cs_delta import cs_diff, refresh_candidate_space
-from repro.graph import Graph, GraphIndex
+from repro.graph import (
+    Graph,
+    GraphIndex,
+    ensure_connected,
+    extract_query,
+    gnm_random_graph,
+    random_labels,
+)
 from repro.graph.mutate import TOMBSTONE_LABEL, apply_update
 from repro.resilience.faults import FaultSpec, InjectedFault, inject
 from repro.service import DataGraphSession, StandingQuery, dynamic
@@ -356,6 +364,68 @@ class TestIncrementalCandidateSpace:
         refreshed = refresh_candidate_space(prepared.cs, new_data, footprint, config)
         cold = matcher.prepare(query, new_data, keep_trail=True)
         assert cs_diff(refreshed, cold.cs) == []
+
+    def test_chained_refreshes_equal_cold_builds(self, config):
+        """Each refresh replays the trail the previous one wrote, four
+        deep, and every step equals a cold build on the same DAG: a trail
+        the replay writes must itself replay exactly."""
+        rng = random.Random(7)
+        matcher = DAFMatcher(config)
+        for _ in range(150):
+            query, data = random_graph_case(rng, max_vertices=20, max_query=6)
+            cs = matcher.prepare(query, data, keep_trail=True).cs
+            for _ in range(4):
+                data, footprint = apply_update(data, random_batch(rng, data, rng.randint(1, 5)))
+                cs = refresh_candidate_space(cs, data, footprint, config)
+                options = config_build_options(config, query, data)
+                cold = build_candidate_space(query, data, cs.dag, **options, keep_trail=True)
+                assert cs_diff(cs, cold) == []
+
+    def test_batch_off_the_query_labels_shares_the_old_structures(self, config, monkeypatch):
+        """A batch that touches no vertex carrying a query label builds no
+        C_ini and hands back the old CS's own lists, maps, rows and trail
+        arrays."""
+        rng = random.Random(11)
+        core = ensure_connected(gnm_random_graph(24, 60, random_labels(24, 3, rng), rng), rng)
+        query, _ = extract_query(core, 5, rng)
+        # Z vertices 24..29: 24 and 25 hang off the core, 26..29 are a
+        # path only the batch touches.
+        labels = list(core.labels) + ["Z"] * 6
+        edges = [*core.edges(), (0, 24), (7, 25), (24, 25), (26, 27), (27, 28), (28, 29)]
+        data = Graph(labels=labels, edges=edges)
+        options = config_build_options(config, query, data)
+        dag = DAFMatcher(config).prepare(query, data).dag
+        old = build_candidate_space(query, data, dag, **options, keep_trail=True)
+        batch = UpdateBatch((
+            Delta.insert_edge(26, 28),
+            Delta.delete_edge(27, 28),
+            Delta.insert_vertex("Z"),
+            Delta.insert_edge(30, 29),
+            Delta.delete_vertex(27),
+        ))
+        new_data, footprint = apply_update(data, batch)
+        new_data.ensure_index()
+        assert {(data.label(v) if v < 30 else new_data.label(v)) for v in footprint.dirty} == {"Z"}
+        options = config_build_options(config, query, new_data)
+        cold = build_candidate_space(query, new_data, dag, **options, keep_trail=True)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the refresh built C_ini")
+
+        monkeypatch.setattr(candidate_space, "initial_candidate_sets", unexpected)
+        monkeypatch.setattr(GraphIndex, "candidates_with_min_degree", unexpected)
+        refreshed = refresh_candidate_space(old, new_data, footprint, config)
+        monkeypatch.undo()
+        assert cs_diff(refreshed, cold) == []
+        for u in query.vertices():
+            assert refreshed.candidates[u] is old.candidates[u]
+            assert refreshed.candidate_index[u] is old.candidate_index[u]
+            assert refreshed.down[u].keys() == old.down[u].keys()
+            for u_c, rows in refreshed.down[u].items():
+                assert rows is old.down[u][u_c]
+        assert len(refreshed.trail) == len(old.trail)
+        for removed, old_removed in zip(refreshed.trail, old.trail):
+            assert all(r is o for r, o in zip(removed, old_removed))
 
 
 def test_replay_generates_pool_from_smallest_child(local_filter_calls):
